@@ -56,6 +56,15 @@ type System struct {
 	profiler    *linkProfiler
 	obsc        *obs.Collector // nil unless cfg.Obs requests observation
 	tr          *obsTrace      // nil unless cfg.Obs.Trace
+	rtx         []remoteTx     // remote round-trip pool (see remoteTx)
+	rtxFree     int32          // free-list head, -1 when empty
+	rtxUsed     int
+	readHomeEv  sim.ArgEvent // remote protocol stages, bound once
+	readRespEv  sim.ArgEvent
+	writeHomeEv sim.ArgEvent
+	bulkHomeEv  sim.ArgEvent
+	ackEv       sim.ArgEvent
+	arriveEv    sim.ArgEvent
 	kernels     []Kernel
 	kernelIdx   int
 	socketsLeft int
@@ -72,10 +81,17 @@ func NewSystem(cfg arch.Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{
-		cfg:   cfg,
-		mem:   vmm.NewWeighted(cfg.Sockets, cfg.Placement, socketWeights(cfg)),
-		drain: &gpu.Drain{},
+		cfg:     cfg,
+		mem:     vmm.NewWeighted(cfg.Sockets, cfg.Placement, socketWeights(cfg)),
+		drain:   &gpu.Drain{},
+		rtxFree: -1,
 	}
+	s.readHomeEv = s.readHome
+	s.readRespEv = s.readResp
+	s.writeHomeEv = s.writeHome
+	s.bulkHomeEv = s.bulkHome
+	s.ackEv = s.ack
+	s.arriveEv = s.arrive
 	// Sharded execution: min(EngineShards, Sockets) socket shards plus a
 	// fabric/home shard, run in lockstep so the global (time, seq)
 	// schedule — and every result — is byte-identical to the serial
@@ -217,56 +233,122 @@ func (s *System) Fabric() *xlink.Fabric { return s.fabric }
 // gpu.Remote implementation: traffic between sockets.
 // ---------------------------------------------------------------------
 
+// remoteTx is one in-flight remote round trip: a line read, a line
+// write or a bulk flush burst from socket src to home and back. Records
+// live in System.rtx on an index-linked free list, and every protocol
+// stage schedules the next through a pre-bound sim.ArgEvent carrying
+// the record index — the gpu datapath's pooling idiom, so a remote
+// access allocates nothing. A fabric delivery calls its stage directly,
+// without an event of its own, which keeps the protocol's event
+// schedule, and with it every result, fixed.
+type remoteTx struct {
+	src, home arch.SocketID
+	line      arch.LineID
+	lines     int          // bulk flush burst size
+	done      sim.ArgEvent // the requester's continuation; may be nil
+	arg       int
+	t0        sim.Time // trace span start (Config.Obs.Trace only)
+	name      int32    // interned trace span name
+	next      int32    // free-list link
+}
+
+// getTx takes a pooled round-trip record for a transfer src → home.
+func (s *System) getTx(src, home arch.SocketID, done sim.ArgEvent, arg int) int {
+	i := s.rtxFree
+	if i < 0 {
+		s.rtx = append(s.rtx, remoteTx{})
+		i = int32(len(s.rtx) - 1)
+	} else {
+		s.rtxFree = s.rtx[i].next
+	}
+	s.rtxUsed++
+	t := &s.rtx[i]
+	t.src, t.home, t.done, t.arg = src, home, done, arg
+	return int(i)
+}
+
 // RemoteRead implements gpu.Remote: request to home, home-side service,
 // data response back.
-func (s *System) RemoteRead(src, home arch.SocketID, l arch.LineID, done func()) {
+func (s *System) RemoteRead(src, home arch.SocketID, l arch.LineID, done sim.ArgEvent, arg int) {
+	i := s.getTx(src, home, done, arg)
+	s.rtx[i].line = l
 	if s.tr != nil {
-		done = s.traceXfer(s.tr.read, src, home, done)
+		s.traceXfer(s.tr.read, i)
 	}
-	s.fabric.RouteFunc(src, home, s.cfg.RequestHeader, func() {
-		s.sockets[home].HomeRead(l, func() {
-			s.fabric.RouteFunc(home, src, arch.LineSize+s.cfg.ResponseHeader, done)
-		})
-	})
+	s.fabric.RouteArg(src, home, s.cfg.RequestHeader, s.readHomeEv, i)
+}
+
+// readHome serves a read request that has reached its home socket.
+func (s *System) readHome(_ sim.Time, i int) {
+	s.sockets[s.rtx[i].home].HomeRead(s.rtx[i].line, s.readRespEv, i)
+}
+
+// readResp ships the served line back to the requester.
+func (s *System) readResp(_ sim.Time, i int) {
+	t := &s.rtx[i]
+	s.fabric.RouteArg(t.home, t.src, arch.LineSize+s.cfg.ResponseHeader, s.arriveEv, i)
 }
 
 // RemoteWrite implements gpu.Remote: full line to home, small ack back.
-func (s *System) RemoteWrite(src, home arch.SocketID, l arch.LineID, done func()) {
+func (s *System) RemoteWrite(src, home arch.SocketID, l arch.LineID, done sim.ArgEvent, arg int) {
+	i := s.getTx(src, home, done, arg)
+	s.rtx[i].line = l
 	if s.tr != nil {
-		done = s.traceXfer(s.tr.write, src, home, done)
+		s.traceXfer(s.tr.write, i)
 	}
-	s.fabric.RouteFunc(src, home, arch.LineSize+s.cfg.RequestHeader, func() {
-		s.sockets[home].HomeWrite(l, func() {
-			s.fabric.RouteFunc(home, src, s.cfg.RequestHeader, done)
-		})
-	})
+	s.fabric.RouteArg(src, home, arch.LineSize+s.cfg.RequestHeader, s.writeHomeEv, i)
+}
+
+// writeHome applies a line write that has reached its home socket.
+func (s *System) writeHome(_ sim.Time, i int) {
+	s.sockets[s.rtx[i].home].HomeWrite(s.rtx[i].line, s.ackEv, i)
 }
 
 // RemoteWriteBulk implements gpu.Remote for aggregated flush bursts.
-func (s *System) RemoteWriteBulk(src, home arch.SocketID, n int, done func()) {
+func (s *System) RemoteWriteBulk(src, home arch.SocketID, n int, done sim.ArgEvent, arg int) {
+	i := s.getTx(src, home, done, arg)
+	s.rtx[i].lines = n
 	if s.tr != nil {
-		done = s.traceXfer(s.tr.bulk, src, home, done)
+		s.traceXfer(s.tr.bulk, i)
 	}
-	size := n*arch.LineSize + s.cfg.RequestHeader
-	s.fabric.RouteFunc(src, home, size, func() {
-		s.sockets[home].HomeWriteBulk(n, func() {
-			s.fabric.RouteFunc(home, src, s.cfg.RequestHeader, done)
-		})
-	})
+	s.fabric.RouteArg(src, home, n*arch.LineSize+s.cfg.RequestHeader, s.bulkHomeEv, i)
 }
 
-// traceXfer wraps a remote-protocol completion so the full round trip
-// lands in the trace ring as one span on (pid = src socket, tid = 1 +
-// home socket); tid 0 is the socket's kernel lane. Only built when
+// bulkHome drains a flush burst that has reached its home socket.
+func (s *System) bulkHome(_ sim.Time, i int) {
+	s.sockets[s.rtx[i].home].HomeWriteBulk(s.rtx[i].lines, s.ackEv, i)
+}
+
+// ack returns a write or flush acknowledgement to the requester.
+func (s *System) ack(_ sim.Time, i int) {
+	t := &s.rtx[i]
+	s.fabric.RouteArg(t.home, t.src, s.cfg.RequestHeader, s.arriveEv, i)
+}
+
+// arrive completes a round trip back at its requester: the trace span
+// closes, the record returns to the pool, and the requester's
+// continuation runs.
+func (s *System) arrive(now sim.Time, i int) {
+	t := s.rtx[i] // copied: released before the continuation runs
+	if s.tr != nil {
+		s.tr.t.Span(t.name, int32(t.src), int32(1+t.home), t.t0, now)
+	}
+	s.rtx[i] = remoteTx{next: s.rtxFree}
+	s.rtxFree = int32(i)
+	s.rtxUsed--
+	if t.done != nil {
+		t.done(now, t.arg)
+	}
+}
+
+// traceXfer stamps round trip i so that it lands in the trace ring as
+// one span on (pid = src socket, tid = 1 + home socket) when it
+// arrives back; tid 0 is the socket's kernel lane. Only called when
 // tracing is on — the off path costs a nil check per transfer.
-func (s *System) traceXfer(kind []int32, src, home arch.SocketID, done func()) func() {
-	r := s.tr.getRec(s.eng)
-	r.name = kind[int(src)*s.cfg.Sockets+int(home)]
-	r.pid = int32(src)
-	r.tid = int32(1 + home)
-	r.t0 = s.eng.Now()
-	r.done = done
-	return r.fire
+func (s *System) traceXfer(kind []int32, i int) {
+	t := &s.rtx[i]
+	t.name = kind[int(t.src)*s.cfg.Sockets+int(t.home)]
+	t.t0 = s.eng.Now()
 }
 
 // ---------------------------------------------------------------------
@@ -318,6 +400,9 @@ func (s *System) verifyQuiesced() {
 			panic(fmt.Sprintf("core: socket %d leaked pooled datapath records: txs=%d reqs=%d waiters=%d homes=%d",
 				i, txs, reqs, waiters, homes))
 		}
+	}
+	if s.rtxUsed != 0 {
+		panic(fmt.Sprintf("core: %d remote round trips still in flight after the run", s.rtxUsed))
 	}
 }
 
@@ -540,42 +625,6 @@ type obsTrace struct {
 	write      []int32
 	bulk       []int32
 	flushStart sim.Time
-	freeRec    *xferRec
-}
-
-// xferRec is one in-flight traced remote round trip. Records live on a
-// free list and carry a fire closure pre-bound at record construction
-// (the same pooling idiom as gpu's memTx/lineReq), so tracing a
-// transfer allocates nothing in steady state — closures are only built
-// when the free list grows.
-type xferRec struct {
-	o        *obsTrace
-	eng      *sim.Engine
-	name     int32
-	pid, tid int32
-	t0       sim.Time
-	done     func()
-	nextFree *xferRec
-	fire     func()
-}
-
-func (o *obsTrace) getRec(eng *sim.Engine) *xferRec {
-	r := o.freeRec
-	if r == nil {
-		r = &xferRec{o: o, eng: eng}
-		r.fire = func() {
-			r.o.t.Span(r.name, r.pid, r.tid, r.t0, r.eng.Now())
-			done := r.done
-			r.done = nil
-			r.nextFree = r.o.freeRec
-			r.o.freeRec = r
-			done()
-		}
-		return r
-	}
-	o.freeRec = r.nextFree
-	r.nextFree = nil
-	return r
 }
 
 func newObsTrace(t *obs.Trace, sockets int) *obsTrace {

@@ -86,11 +86,32 @@ func (s *Session) Run(cfg arch.Config, spec workload.Spec) core.Result {
 
 // RunAll mirrors Runner.RunAll — same pool, same request-order
 // guarantee — with every completion flowing through the session
-// callback.
+// callback. Each key runs once however often the sweep repeats it: a
+// repeat in flight alongside the first request would otherwise race
+// it to the callback and could report the session's own simulation as
+// coalesced.
 func (s *Session) RunAll(reqs []RunRequest) []core.Result {
-	return runPool(s.r.opts.Parallelism, len(reqs), func(i int) core.Result {
-		return s.Run(reqs[i].Cfg, reqs[i].Spec)
+	keys := make([]string, len(reqs))
+	slot := make(map[string]int, len(reqs)) // key → index into uniq
+	var uniq []int                          // request index of each key's first request
+	for i, q := range reqs {
+		keys[i] = s.r.RunKey(q.Cfg, q.Spec)
+		if _, ok := slot[keys[i]]; !ok {
+			slot[keys[i]] = len(uniq)
+			uniq = append(uniq, i)
+		}
+	}
+	res := runPool(s.r.opts.Parallelism, len(uniq), func(j int) core.Result {
+		i := uniq[j]
+		r, src := s.r.runKeyed(keys[i], reqs[i].Cfg, reqs[i].Spec)
+		s.emit(keys[i], r, src)
+		return r
 	})
+	out := make([]core.Result, len(reqs))
+	for i := range reqs {
+		out[i] = res[slot[keys[i]]]
+	}
+	return out
 }
 
 func (s *Session) emit(key string, res core.Result, src RunSource) {

@@ -9,8 +9,8 @@ import (
 // TestDatapathFastPathsAllocFree pins the tentpole property of the
 // pooled datapath in the regular test tier (CI additionally gates on
 // the benchmark's -benchmem output): once warmed, the L1-hit, L2-hit,
-// L2-miss and store paths allocate nothing per access. Skipped under
-// the race detector, whose instrumentation allocates.
+// L2-miss, remote-read and store paths allocate nothing per access.
+// Skipped under the race detector, whose instrumentation allocates.
 func TestDatapathFastPathsAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -21,10 +21,8 @@ func TestDatapathFastPathsAllocFree(t *testing.T) {
 	lines := []arch.LineID{line}
 
 	warm := func(f func()) float64 {
-		// Untimed passes grow pools and first-touch every engine ring
-		// bucket's backing array (1024 cycles of ring, a few hundred
-		// cycles per op) to steady capacity; AllocsPerRun then measures
-		// the warm path.
+		// Untimed passes grow the pools and the engine's event slab to
+		// steady capacity; AllocsPerRun then measures the warm path.
 		for i := 0; i < 500; i++ {
 			f()
 		}
@@ -51,6 +49,16 @@ func TestDatapathFastPathsAllocFree(t *testing.T) {
 	}
 	if n := warm(func() { h.sock.Store(0, lines); h.eng.Run() }); n != 0 {
 		t.Fatalf("store path allocates %v/op, want 0", n)
+	}
+	hr := newBenchHarness(arch.CacheNUMAAware, 0)
+	remote := []arch.LineID{hr.remoteLine(1)}
+	if n := warm(func() {
+		hr.sock.L1(0).Invalidate(remote[0])
+		hr.sock.L2().Invalidate(remote[0])
+		hr.load(0, remote)
+		hr.eng.Run()
+	}); n != 0 {
+		t.Fatalf("remote-read path allocates %v/op, want 0", n)
 	}
 	h2 := newBenchHarness(arch.CacheMemSideLocal, 4)
 	merge := []arch.LineID{line, line}

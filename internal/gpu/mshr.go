@@ -15,6 +15,7 @@ package gpu
 import (
 	"repro/internal/arch"
 	"repro/internal/mem"
+	"repro/internal/sim"
 )
 
 // nilIdx terminates free lists and waiter chains.
@@ -118,12 +119,14 @@ func (p *reqPool) release(i int32) {
 // ---------------------------------------------------------------------
 
 // homeReq carries a home-side read (serving a remote requester) through
-// its DRAM fetch when the memory-side L2 caches the returned line. done
-// is the response continuation handed in by the core layer; it is
-// cleared on release so the pool never pins a dead fabric callback.
+// its DRAM fetch when the memory-side L2 caches the returned line.
+// done(now, arg) is the response continuation handed in by the core
+// layer; done is cleared on release so the pool never pins a dead
+// callback.
 type homeReq struct {
 	line arch.LineID
-	done func()
+	done sim.ArgEvent
+	arg  int
 	next int32
 }
 
@@ -139,16 +142,16 @@ func (p *homePool) init(capHint int) {
 	p.free = nilIdx
 }
 
-func (p *homePool) alloc(line arch.LineID, done func()) int32 {
+func (p *homePool) alloc(line arch.LineID, done sim.ArgEvent, arg int) int32 {
 	p.used++
 	if p.free == nilIdx {
-		p.reqs = append(p.reqs, homeReq{line: line, done: done})
+		p.reqs = append(p.reqs, homeReq{line: line, done: done, arg: arg})
 		return int32(len(p.reqs) - 1)
 	}
 	i := p.free
 	r := &p.reqs[i]
 	p.free = r.next
-	r.line, r.done = line, done
+	r.line, r.done, r.arg = line, done, arg
 	return i
 }
 

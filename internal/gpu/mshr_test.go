@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/sim"
 )
 
 // chainOf drains entry key's waiter chain (via delete) into a slice.
@@ -200,12 +201,12 @@ func TestPoolsRecycleWithoutGrowth(t *testing.T) {
 func TestHomePoolClearsCallbacks(t *testing.T) {
 	var homes homePool
 	homes.init(2)
-	fired := false
-	i := homes.alloc(1, func() { fired = true })
-	homes.reqs[i].done()
+	fired := -1
+	i := homes.alloc(1, func(_ sim.Time, arg int) { fired = arg }, 42)
+	homes.reqs[i].done(0, homes.reqs[i].arg)
 	homes.release(i)
-	if !fired {
-		t.Fatal("callback lost")
+	if fired != 42 {
+		t.Fatalf("callback saw arg %d, want 42", fired)
 	}
 	if homes.reqs[i].done != nil {
 		t.Fatal("release must clear the callback so the pool cannot pin it")

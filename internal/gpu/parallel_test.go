@@ -32,34 +32,34 @@ type doneAt struct {
 	At   sim.Time
 }
 
-func (r *pairRig) RemoteRead(src, home arch.SocketID, l arch.LineID, done func()) {
+func (r *pairRig) RemoteRead(src, home arch.SocketID, l arch.LineID, done sim.ArgEvent, arg int) {
 	r.reads++
 	r.send(src, home, func() {
-		r.socks[home].HomeRead(l, func() {
-			r.send(home, src, done)
-		})
+		r.socks[home].HomeRead(l, func(sim.Time, int) {
+			r.send(home, src, func() { done(r.engs[src].Now(), arg) })
+		}, 0)
 	})
 }
 
-func (r *pairRig) RemoteWrite(src, home arch.SocketID, l arch.LineID, done func()) {
+func (r *pairRig) RemoteWrite(src, home arch.SocketID, l arch.LineID, done sim.ArgEvent, arg int) {
 	r.writes++
 	r.send(src, home, func() {
-		r.socks[home].HomeWrite(l, func() {
+		r.socks[home].HomeWrite(l, func(sim.Time, int) {
 			if done != nil {
-				r.send(home, src, done)
+				r.send(home, src, func() { done(r.engs[src].Now(), arg) })
 			}
-		})
+		}, 0)
 	})
 }
 
-func (r *pairRig) RemoteWriteBulk(src, home arch.SocketID, n int, done func()) {
+func (r *pairRig) RemoteWriteBulk(src, home arch.SocketID, n int, done sim.ArgEvent, arg int) {
 	r.bulk += n
 	r.send(src, home, func() {
-		r.socks[home].HomeWriteBulk(n, func() {
+		r.socks[home].HomeWriteBulk(n, func(sim.Time, int) {
 			if done != nil {
-				r.send(home, src, done)
+				r.send(home, src, func() { done(r.engs[src].Now(), arg) })
 			}
-		})
+		}, 0)
 	})
 }
 

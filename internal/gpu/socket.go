@@ -14,17 +14,22 @@ import (
 // Remote is the socket's view of the rest of the system: routing of
 // read requests and writes to the home socket of a line. The core
 // package implements it on top of the switch fabric.
+//
+// Completions follow the datapath's pooling idiom: the caller hands in
+// a long-lived sim.ArgEvent plus an integer (a pool index), and the
+// implementation calls done(now, arg) when the transfer completes, so
+// no closure is built per remote access.
 type Remote interface {
 	// RemoteRead fetches line l from its home socket; done fires when
 	// the data response has arrived back at src.
-	RemoteRead(src, home arch.SocketID, l arch.LineID, done func())
+	RemoteRead(src, home arch.SocketID, l arch.LineID, done sim.ArgEvent, arg int)
 	// RemoteWrite pushes a full-line write to the home socket; done
 	// fires when the ack returns to src and may be nil.
-	RemoteWrite(src, home arch.SocketID, l arch.LineID, done func())
+	RemoteWrite(src, home arch.SocketID, l arch.LineID, done sim.ArgEvent, arg int)
 	// RemoteWriteBulk pushes an aggregate of n dirty lines to the home
 	// socket in one burst (coherence flush traffic); done fires when
-	// the burst has drained at the home memory.
-	RemoteWriteBulk(src, home arch.SocketID, n int, done func())
+	// the ack returns to src and may be nil.
+	RemoteWriteBulk(src, home arch.SocketID, n int, done sim.ArgEvent, arg int)
 }
 
 // Socket is one GPU of the multi-socket system.
@@ -32,10 +37,11 @@ type Remote interface {
 // Its memory datapath is an allocation-free transaction pipeline: a
 // warp load allocates one pooled memTx, each L1 miss or store one
 // pooled lineReq, and every stage (NoC hop, L2 lookup, DRAM fetch,
-// response, L1 fill) schedules the next via a pre-bound sim.ArgEvent
-// carrying the pool index — no closure is created anywhere on the
-// local load or store path. MSHR merging runs through open-addressed
-// tables whose merged waiters are pooled chain nodes (see mshr.go).
+// response, L1 fill, remote round trip, home-side service) schedules
+// the next via a pre-bound sim.ArgEvent carrying the pool index — no
+// closure is created anywhere on the load or store path, local or
+// remote. MSHR merging runs through open-addressed tables whose merged
+// waiters are pooled chain nodes (see mshr.go).
 type Socket struct {
 	eng    *sim.Engine
 	cfg    arch.Config
@@ -74,6 +80,9 @@ type Socket struct {
 	dramRespEv   sim.ArgEvent
 	storeEv      sim.ArgEvent
 	homeReadEv   sim.ArgEvent
+	remoteFillEv sim.ArgEvent // remote response, remote-caching modes
+	remoteRespEv sim.ArgEvent // remote response, memory-side mode
+	drainDecEv   sim.ArgEvent // store and writeback drains (arg unused)
 
 	// onLoadDone dispatches a completed warp load back to its SM; tests
 	// and benchmarks may replace it to observe completions directly.
@@ -97,10 +106,8 @@ type Socket struct {
 	remoteReqs stats.Meter
 	remoteResp stats.Meter
 
-	// Long-lived completion callbacks, bound once at construction so
-	// store drains and writebacks schedule without a per-event closure.
-	drainDecFn func()
-	allDoneFn  func()
+	// allDoneFn reports an empty kernel share, bound once at construction.
+	allDoneFn func()
 
 	// flushPerHome is the reusable per-flush dirty-line tally, indexed
 	// by home socket (replaces a map allocated per flush).
@@ -132,7 +139,6 @@ func NewSocket(eng *sim.Engine, cfg arch.Config, id arch.SocketID, memMap *vmm.M
 		onAllDone: onAllDone,
 		memSide:   cfg.CacheMode == arch.CacheMemSideLocal || cfg.CacheMode == arch.CacheStaticPartition,
 	}
-	s.drainDecFn = s.drain.Dec
 	s.allDoneFn = func() { s.onAllDone(s.id) }
 	s.onLoadDone = s.dispatchLoadDone
 
@@ -153,6 +159,9 @@ func NewSocket(eng *sim.Engine, cfg arch.Config, id arch.SocketID, memMap *vmm.M
 	s.dramRespEv = s.dramResp
 	s.storeEv = s.storeArrive
 	s.homeReadEv = s.homeReadDone
+	s.remoteFillEv = s.remoteFill
+	s.remoteRespEv = s.remoteResponse
+	s.drainDecEv = func(sim.Time, int) { drain.Dec() }
 
 	for i := 0; i < cfg.SMsPerSocket; i++ {
 		s.l1s = append(s.l1s, mem.NewCache(cfg.L1Bytes, cfg.L1Assoc))
@@ -392,28 +401,30 @@ func (s *Socket) remoteRead(req int32) {
 		}
 		s.rmPending.insert(r.line)
 		s.countRemoteRead()
-		idx := int(req)
-		s.remote.RemoteRead(s.id, r.home, r.line, func() { s.remoteFillResp(idx) })
+		s.remote.RemoteRead(s.id, r.home, r.line, s.remoteFillEv, int(req))
 		return
 	}
 	// Mode (a): bypass the local L2, no merging structure exists at the
 	// link endpoint, every L1 miss pays the full remote round trip.
 	s.countRemoteRead()
-	idx := int(req)
-	s.remote.RemoteRead(s.id, r.home, r.line, func() {
-		s.countRemoteResponse()
-		s.xbar.SendArg(arch.LineSize, s.l1FillEv, idx)
-	})
+	s.remote.RemoteRead(s.id, r.home, r.line, s.remoteRespEv, int(req))
 }
 
-// remoteFillResp handles a remote data response in the cached-remote modes:
+// remoteResponse ships a remote data response straight to the issuing
+// SM in the memory-side mode, which keeps no remote lines in the L2.
+func (s *Socket) remoteResponse(_ sim.Time, req int) {
+	s.countRemoteResponse()
+	s.xbar.SendArg(arch.LineSize, s.l1FillEv, req)
+}
+
+// remoteFill handles a remote data response in the cached-remote modes:
 // fill the L2, respond to the primary and to every merged request. Every
 // responder — primary and merged waiters alike — pays the L2 access
 // latency before the line crosses the NoC, exactly as on the local DRAM
 // path (dramResp): the data is served out of the just-filled L2 either
 // way. (Merged waiters used to skip the charge, a timing asymmetry
 // inherited from the closure-based datapath.)
-func (s *Socket) remoteFillResp(req int) {
+func (s *Socket) remoteFill(_ sim.Time, req int) {
 	r := &s.reqs.reqs[req]
 	s.countRemoteResponse()
 	s.insertL2(r.line, mem.ClassRemote, false)
@@ -449,7 +460,7 @@ func (s *Socket) insertL2(l arch.LineID, cl mem.Class, dirty bool) {
 func (s *Socket) writebackVictim(v mem.Victim) {
 	if v.Class == mem.ClassLocal {
 		s.drain.Inc()
-		s.dram.WriteFunc(arch.LineSize, s.drainDecFn)
+		s.dram.WriteArg(arch.LineSize, s.drainDecEv, 0)
 		return
 	}
 	home, ok := s.memMap.Peek(v.Line)
@@ -457,11 +468,11 @@ func (s *Socket) writebackVictim(v mem.Victim) {
 		// The page moved under us or the line is local after all;
 		// treat as a local writeback.
 		s.drain.Inc()
-		s.dram.WriteFunc(arch.LineSize, s.drainDecFn)
+		s.dram.WriteArg(arch.LineSize, s.drainDecEv, 0)
 		return
 	}
 	s.drain.Inc()
-	s.remote.RemoteWrite(s.id, home, v.Line, s.drainDecFn)
+	s.remote.RemoteWrite(s.id, home, v.Line, s.drainDecEv, 0)
 }
 
 // Store retires a coalesced warp store from SM sm. Stores never block
@@ -506,7 +517,7 @@ func (s *Socket) storeArrive(_ sim.Time, st int) {
 			// §5.2 sensitivity: line stays clean locally, data
 			// crosses the link immediately.
 			s.insertL2(r.line, mem.ClassRemote, false)
-			s.remote.RemoteWrite(s.id, r.home, r.line, s.drainDecFn)
+			s.remote.RemoteWrite(s.id, r.home, r.line, s.drainDecEv, 0)
 			return
 		}
 		s.insertL2(r.line, mem.ClassRemote, true)
@@ -514,7 +525,7 @@ func (s *Socket) storeArrive(_ sim.Time, st int) {
 		return
 	}
 	// Mode (a): remote writes cross the link immediately.
-	s.remote.RemoteWrite(s.id, r.home, r.line, s.drainDecFn)
+	s.remote.RemoteWrite(s.id, r.home, r.line, s.drainDecEv, 0)
 }
 
 // ---------------------------------------------------------------------
@@ -522,48 +533,50 @@ func (s *Socket) storeArrive(_ sim.Time, st int) {
 // ---------------------------------------------------------------------
 
 // HomeRead services a read request that arrived from another socket for
-// a line homed here; done fires when the data is ready to ship back.
-// Memory-side L2 portions (modes a and b) cache the access; GPU-side L2
-// organizations serve hits but do not allocate for remote requesters.
-func (s *Socket) HomeRead(l arch.LineID, done func()) {
+// a line homed here; done(now, arg) fires when the data is ready to
+// ship back. Memory-side L2 portions (modes a and b) cache the access;
+// GPU-side L2 organizations serve hits but do not allocate for remote
+// requesters.
+func (s *Socket) HomeRead(l arch.LineID, done sim.ArgEvent, arg int) {
 	if s.l2.Lookup(l, mem.ClassLocal) {
-		s.eng.ScheduleThunk(sim.Time(s.cfg.L2Latency), done)
+		s.eng.ScheduleArg(sim.Time(s.cfg.L2Latency), done, arg)
 		return
 	}
 	if !s.memSide {
-		s.dram.ReadFunc(arch.LineSize, done)
+		s.dram.ReadArg(arch.LineSize, done, arg)
 		return
 	}
-	h := s.homes.alloc(l, done)
+	h := s.homes.alloc(l, done, arg)
 	s.dram.ReadArg(arch.LineSize, s.homeReadEv, int(h))
 }
 
 // homeReadDone caches a fetched line in the memory-side L2 and responds.
-func (s *Socket) homeReadDone(_ sim.Time, idx int) {
+func (s *Socket) homeReadDone(now sim.Time, idx int) {
 	h := s.homes.reqs[idx] // copied: released before the callback runs
 	s.homes.release(int32(idx))
 	s.insertL2(h.line, mem.ClassLocal, false)
-	h.done()
+	h.done(now, h.arg)
 }
 
 // HomeWrite applies a full-line write arriving from another socket;
-// done fires when it is safe to ack.
-func (s *Socket) HomeWrite(l arch.LineID, done func()) {
+// done(now, arg) fires when it is safe to ack.
+func (s *Socket) HomeWrite(l arch.LineID, done sim.ArgEvent, arg int) {
 	if s.memSide {
 		s.insertL2(l, mem.ClassLocal, true)
-		s.eng.ScheduleThunk(sim.Time(s.cfg.L2Latency), done)
+		s.eng.ScheduleArg(sim.Time(s.cfg.L2Latency), done, arg)
 		return
 	}
 	if s.l2.MarkDirty(l) {
-		s.eng.ScheduleThunk(sim.Time(s.cfg.L2Latency), done)
+		s.eng.ScheduleArg(sim.Time(s.cfg.L2Latency), done, arg)
 		return
 	}
-	s.dram.WriteFunc(arch.LineSize, done)
+	s.dram.WriteArg(arch.LineSize, done, arg)
 }
 
-// HomeWriteBulk drains an aggregate flush burst of n lines into DRAM.
-func (s *Socket) HomeWriteBulk(n int, done func()) {
-	s.dram.WriteFunc(n*arch.LineSize, done)
+// HomeWriteBulk drains an aggregate flush burst of n lines into DRAM;
+// done(now, arg) fires when it has drained.
+func (s *Socket) HomeWriteBulk(n int, done sim.ArgEvent, arg int) {
+	s.dram.WriteArg(n*arch.LineSize, done, arg)
 }
 
 // ---------------------------------------------------------------------
@@ -664,7 +677,7 @@ func (s *Socket) flushDirty(dirty []mem.Victim) {
 	}
 	if localLines > 0 {
 		s.drain.Inc()
-		s.dram.WriteFunc(localLines*arch.LineSize, s.drainDecFn)
+		s.dram.WriteArg(localLines*arch.LineSize, s.drainDecEv, 0)
 	}
 	// Flush bursts must leave in socket order (which indexing perHome
 	// by socket gives for free): ranging over the map this slice
@@ -674,7 +687,7 @@ func (s *Socket) flushDirty(dirty []mem.Victim) {
 	for home := arch.SocketID(0); int(home) < s.cfg.Sockets; home++ {
 		if n := perHome[home]; n > 0 {
 			s.drain.Inc()
-			s.remote.RemoteWriteBulk(s.id, home, n, s.drainDecFn)
+			s.remote.RemoteWriteBulk(s.id, home, n, s.drainDecEv, 0)
 		}
 	}
 }

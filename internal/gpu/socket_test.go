@@ -44,6 +44,8 @@ func makeCTAs(n, warps, instrs int) []smcore.CTA {
 }
 
 // fakeRemote records remote traffic and services it with a fixed delay.
+// It schedules the caller's pre-bound continuation directly, so a
+// remote access through it allocates nothing.
 type fakeRemote struct {
 	eng    *sim.Engine
 	reads  int
@@ -51,27 +53,28 @@ type fakeRemote struct {
 	bulk   int
 }
 
-func (r *fakeRemote) RemoteRead(src, home arch.SocketID, l arch.LineID, done func()) {
+func (r *fakeRemote) RemoteRead(src, home arch.SocketID, l arch.LineID, done sim.ArgEvent, arg int) {
 	r.reads++
-	r.eng.Schedule(300, func(sim.Time) { done() })
+	r.respond(done, arg)
 }
 
-func (r *fakeRemote) RemoteWrite(src, home arch.SocketID, l arch.LineID, done func()) {
+func (r *fakeRemote) RemoteWrite(src, home arch.SocketID, l arch.LineID, done sim.ArgEvent, arg int) {
 	r.writes++
-	r.eng.Schedule(300, func(sim.Time) {
-		if done != nil {
-			done()
-		}
-	})
+	r.respond(done, arg)
 }
 
-func (r *fakeRemote) RemoteWriteBulk(src, home arch.SocketID, n int, done func()) {
+func (r *fakeRemote) RemoteWriteBulk(src, home arch.SocketID, n int, done sim.ArgEvent, arg int) {
 	r.bulk += n
-	r.eng.Schedule(300, func(sim.Time) {
-		if done != nil {
-			done()
-		}
-	})
+	r.respond(done, arg)
+}
+
+// respond completes a transfer 300 cycles from now; a nil done still
+// costs the response event.
+func (r *fakeRemote) respond(done sim.ArgEvent, arg int) {
+	if done == nil {
+		done = func(sim.Time, int) {}
+	}
+	r.eng.ScheduleArg(300, done, arg)
 }
 
 type harness struct {
@@ -508,13 +511,13 @@ func TestHomeReadServesAndCachesMemSide(t *testing.T) {
 	h := newHarness(t, arch.CacheMemSideLocal)
 	l := h.localLine(7)
 	done := 0
-	h.sock.HomeRead(l, func() { done++ })
+	h.sock.HomeRead(l, func(sim.Time, int) { done++ }, 0)
 	h.eng.Run()
 	if done != 1 || h.sock.DRAM().Reads.Value() != 1 {
 		t.Fatal("home read must reach DRAM on cold miss")
 	}
 	// Memory-side L2 cached the remote-origin access: second read hits.
-	h.sock.HomeRead(l, func() { done++ })
+	h.sock.HomeRead(l, func(sim.Time, int) { done++ }, 0)
 	h.eng.Run()
 	if done != 2 || h.sock.DRAM().Reads.Value() != 1 {
 		t.Fatal("memory-side L2 must cache remote-origin reads")
@@ -526,7 +529,7 @@ func TestHomeReadDoesNotPolluteCoherentL2(t *testing.T) {
 	h := newHarness(t, arch.CacheNUMAAware)
 	l := h.localLine(8)
 	done := 0
-	h.sock.HomeRead(l, func() { done++ })
+	h.sock.HomeRead(l, func(sim.Time, int) { done++ }, 0)
 	h.eng.Run()
 	if h.sock.L2().Peek(l) {
 		t.Fatal("GPU-side coherent L2 must not allocate for remote requesters")
@@ -535,7 +538,7 @@ func TestHomeReadDoesNotPolluteCoherentL2(t *testing.T) {
 	h.load(0, l)
 	h.eng.Run()
 	reads := h.sock.DRAM().Reads.Value()
-	h.sock.HomeRead(l, func() { done++ })
+	h.sock.HomeRead(l, func(sim.Time, int) { done++ }, 0)
 	h.eng.Run()
 	if h.sock.DRAM().Reads.Value() != reads {
 		t.Fatal("home read must hit a resident L2 line")
@@ -551,7 +554,7 @@ func TestHomeWritePaths(t *testing.T) {
 	h := newHarness(t, arch.CacheMemSideLocal)
 	l := h.localLine(9)
 	done := 0
-	h.sock.HomeWrite(l, func() { done++ })
+	h.sock.HomeWrite(l, func(sim.Time, int) { done++ }, 0)
 	h.eng.Run()
 	if done != 1 || !h.sock.L2().Peek(l) {
 		t.Fatal("memory-side home write must allocate")
@@ -562,7 +565,7 @@ func TestHomeWritePaths(t *testing.T) {
 	// Coherent mode: absent line goes straight to DRAM.
 	h2 := newHarness(t, arch.CacheNUMAAware)
 	l2 := h2.localLine(10)
-	h2.sock.HomeWrite(l2, func() { done++ })
+	h2.sock.HomeWrite(l2, func(sim.Time, int) { done++ }, 0)
 	h2.eng.Run()
 	if h2.sock.DRAM().Writes.Value() != 1 {
 		t.Fatal("coherent mode home write of absent line must reach DRAM")
@@ -575,7 +578,7 @@ func TestHomeWritePaths(t *testing.T) {
 func TestHomeWriteBulk(t *testing.T) {
 	h := newHarness(t, arch.CacheMemSideLocal)
 	done := false
-	h.sock.HomeWriteBulk(10, func() { done = true })
+	h.sock.HomeWriteBulk(10, func(sim.Time, int) { done = true }, 0)
 	h.eng.Run()
 	if !done {
 		t.Fatal("bulk write must complete")

@@ -34,14 +34,6 @@ func (d *DRAM) Read(size int, done sim.Event) {
 	d.srv.Transfer(size, done)
 }
 
-// ReadFunc is Read for a clock-ignoring completion callback, queued
-// without an adapter closure.
-func (d *DRAM) ReadFunc(size int, done func()) {
-	d.Reads.Inc()
-	d.Bytes.Add(uint64(size))
-	d.srv.TransferFunc(size, done)
-}
-
 // ReadArg is Read for a long-lived ArgEvent callback plus an integer
 // argument — the MSHR fill path passes a pooled miss-record index
 // through arg instead of allocating a completion closure per fetch.
@@ -59,12 +51,13 @@ func (d *DRAM) Write(size int, done sim.Event) {
 	d.srv.Transfer(size, done)
 }
 
-// WriteFunc is Write for a clock-ignoring completion callback, queued
-// without an adapter closure (drain decrements, bulk flush bursts).
-func (d *DRAM) WriteFunc(size int, done func()) {
+// WriteArg is Write for a long-lived ArgEvent callback plus an integer
+// argument: store drains, writebacks and home-side remote writes
+// complete through pre-bound continuations instead of closures.
+func (d *DRAM) WriteArg(size int, fn sim.ArgEvent, arg int) {
 	d.Writes.Inc()
 	d.Bytes.Add(uint64(size))
-	d.srv.TransferFunc(size, done)
+	d.srv.TransferArg(size, fn, arg)
 }
 
 // Utilization reports channel utilization over the current sampling

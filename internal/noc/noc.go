@@ -29,13 +29,6 @@ func (x *Crossbar) Send(size int, done sim.Event) {
 	x.srv.Transfer(size, done)
 }
 
-// SendFunc is Send for a clock-ignoring completion callback, queued
-// without a per-message adapter closure (the L2 response fan-out path).
-func (x *Crossbar) SendFunc(size int, done func()) {
-	x.Bytes.Add(uint64(size))
-	x.srv.TransferFunc(size, done)
-}
-
 // SendArg is Send for a long-lived ArgEvent callback plus an integer
 // argument — the datapath's pooled-continuation path (fn is a stage
 // bound once per socket, arg a transaction index).

@@ -4,16 +4,17 @@ package sim
 // per iteration, so ns/op is ns/event and allocs/op is allocs/event,
 // and events/sec = 1e9 / (ns/op). scripts/bench.sh parses these into
 // BENCH_sim.json. The BenchmarkReference* twins run the same pattern on
-// the original container/heap scheduler — the baseline the bucketed
-// engine must beat ≥2× on the steady-state path.
+// the original container/heap scheduler — the baseline the calendar
+// queue must beat ≥2× on the steady-state path.
 
 import "testing"
 
-// warmup laps the ring once so bucket backing arrays reach their
-// steady-state capacity before measurement: the engine's hot path is
-// allocation-free only once warmed, exactly like a long simulation.
+// warmup grows the event slab past the largest burst any benchmark
+// queues, so the measured loop reuses free records: the engine's hot
+// path is allocation-free only once warmed, exactly like a long
+// simulation.
 func warmup(e *Engine) {
-	for i := 0; i < 2*ringSize; i++ {
+	for i := 0; i < 1024; i++ {
 		e.Schedule(Time(i%64)+1, func(Time) {})
 	}
 	e.Run()
@@ -141,8 +142,55 @@ func BenchmarkEngineScheduleArg(b *testing.B) {
 	}
 }
 
+// backlogDelays follows the delays the model schedules beyond 1,024
+// cycles: bandwidth servers booking completions behind deep backlogs.
+// Their measured mix on fig3, fig8 and fig11 at -quick scale is 43% in
+// [1K, 2K), 28% in [2K, 4K), 12% in [4K, 8K), 10% in [8K, 16K), 6% in
+// [16K, 32K) and 2% in [32K, 64K) cycles; the 64 entries keep those
+// shares, spread evenly within each range.
+var backlogDelays = func() [64]Time {
+	var d [64]Time
+	n := 0
+	for _, r := range []struct {
+		lo   Time
+		span Time
+		k    int
+	}{{1 << 10, 1 << 10, 27}, {2 << 10, 2 << 10, 18}, {4 << 10, 4 << 10, 8}, {8 << 10, 8 << 10, 6}, {16 << 10, 16 << 10, 4}, {32 << 10, 32 << 10, 1}} {
+		for j := 0; j < r.k; j++ {
+			d[n] = r.lo + r.span*Time(j)/Time(r.k)
+			n++
+		}
+	}
+	return d
+}()
+
+// BenchmarkEngineBacklog measures a standing backlog of far events:
+// 256 in flight, each rescheduling itself with the next delay of the
+// measured 1K–64K-cycle mix. With a 1,024-cycle ring every one of these
+// went to the heap; the 2^16-cycle ring keeps them in per-cycle lists
+// and the occupancy index skips the empty cycles between them.
+func BenchmarkEngineBacklog(b *testing.B) {
+	e := New()
+	warmup(e)
+	n, k := 0, 0
+	var fn Event
+	fn = func(Time) {
+		if n < b.N {
+			e.Schedule(backlogDelays[k&63], fn)
+			n++
+			k += 7 // co-prime with 64: cycle through the mix
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < 256 && n < b.N; i++ {
+		fn(0)
+	}
+	e.Run()
+}
+
 // BenchmarkEngineFarFuture measures the overflow-heap path: every delay
-// beyond the ring window (policy samplers, deep backlogs).
+// beyond the ring window (events more than 65,536 cycles ahead).
 func BenchmarkEngineFarFuture(b *testing.B) {
 	e := New()
 	fn := Event(func(Time) {})

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestPendingExecutedAccounting pins the bookkeeping across both levels
 // of the calendar queue: ring events, far-heap events, and migration
@@ -38,7 +41,7 @@ func TestPendingExecutedAccounting(t *testing.T) {
 }
 
 // TestRingBoundaryDelays exercises delays straddling the ring window:
-// exactly ringSize-1 (last ring bucket), ringSize and beyond (far
+// exactly ringSize-1 (last ring cycle), ringSize and beyond (far
 // heap), and events that migrate across as the clock advances.
 func TestRingBoundaryDelays(t *testing.T) {
 	e := New()
@@ -106,7 +109,7 @@ func TestEngineReuseAcrossRuns(t *testing.T) {
 // TestResetDiscardsPendingEvents pins the Reset contract: events left
 // queued — in the ring and the far heap, e.g. by a RunUntil stop or a
 // stopped Ticker — are discarded, not leaked into the next run. This
-// is what makes Engine reuse safe with pooled bucket storage.
+// is what makes Engine reuse safe with pooled slab storage.
 func TestResetDiscardsPendingEvents(t *testing.T) {
 	e := New()
 	leaked := false
@@ -179,7 +182,7 @@ func TestRunUntilParksClockAndMigrates(t *testing.T) {
 
 // TestRunUntilPastDeadline pins that a deadline behind the clock is a
 // pure no-op: nothing executes, the clock stays put, and queued events
-// later run at their scheduled times. (Without the clamp the bucketed
+// later run at their scheduled times. (Without the clamp the calendar-queue
 // engine would rewind the clock, shift the ring window, and execute
 // the queued event at an aliased earlier cycle.)
 func TestRunUntilPastDeadline(t *testing.T) {
@@ -266,5 +269,76 @@ func TestAtArg(t *testing.T) {
 	}
 	if e.Now() != 20 {
 		t.Fatalf("final clock %d, want 20", e.Now())
+	}
+}
+
+// TestRunUntilParksWithOnlyHeapEvents pins a deadline stop taken while
+// the ring is empty and every pending event sits in the far heap: the
+// clock parks at the deadline, exactly the heap events that entered
+// the window migrate into the ring, and everything later runs in
+// (time, insertion-order) order.
+func TestRunUntilParksWithOnlyHeapEvents(t *testing.T) {
+	e := New()
+	var ran []int
+	for i, at := range []Time{2*ringSize + 5, ringSize + 10, 3 * ringSize, ringSize + 10} {
+		i := i
+		e.At(at, func(Time) { ran = append(ran, i) })
+	}
+	if e.ringN != 0 || len(e.far) != 4 {
+		t.Fatalf("ring %d / heap %d before the stop, want 0 / 4", e.ringN, len(e.far))
+	}
+	if e.RunUntil(100) {
+		t.Fatal("queue should not drain by t=100")
+	}
+	if e.Now() != 100 || e.Pending() != 4 {
+		t.Fatalf("after the stop: clock %d, pending %d; want 100, 4", e.Now(), e.Pending())
+	}
+	if e.ringN != 2 || len(e.far) != 2 {
+		t.Fatalf("ring %d / heap %d after the stop, want 2 / 2 (the two cycle-%d events migrate)", e.ringN, len(e.far), ringSize+10)
+	}
+	e.Run()
+	if want := []int{1, 3, 0, 2}; fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Fatalf("ran %v, want %v", ran, want)
+	}
+}
+
+// TestOccupancyScanAcrossWordsAndWrap pins the occupancy index's scan
+// from a clock in the middle of a 64-cycle word: the last cycle of the
+// clock's word, the first of the next word, both sides of a summary
+// word (4,096 cycles), and a cycle one short of a full lap ahead, whose
+// ring index lies just behind the clock's own.
+func TestOccupancyScanAcrossWordsAndWrap(t *testing.T) {
+	e := New()
+	e.Schedule(100, func(Time) {})
+	e.Run()
+	want := []Time{127, 128, 4095, 4096, 100 + ringSize - 1}
+	for i := len(want) - 1; i >= 0; i-- {
+		e.At(want[i], func(Time) {})
+	}
+	for _, w := range want {
+		if got, ok := e.peek(); !ok || got != w {
+			t.Fatalf("peek = %d, %v; want %d", got, ok, w)
+		}
+		e.Step()
+		if e.Now() != w {
+			t.Fatalf("stepped to %d, want %d", e.Now(), w)
+		}
+	}
+	// The clock now sits at ring cycle 99. Park it at cycle 4296 (word
+	// 67, summary word 1); then let the only pending event lie just
+	// behind the clock, first elsewhere in its summary word, then in its
+	// own occupancy word: the scan has to come all the way round.
+	e.At(e.Now()+4296-99, func(Time) {})
+	e.Step()
+	for _, back := range []Time{150, 6} {
+		at := e.Now() + ringSize - back
+		e.At(at, func(Time) {})
+		if got, ok := e.peek(); !ok || got != at {
+			t.Fatalf("peek = %d, %v; want %d (ring cycle %d behind clock cycle %d)", got, ok, at, at&ringMask, e.Now()&ringMask)
+		}
+		e.Step()
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("%d events left", e.Pending())
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// schedulerAPI is the surface shared by the bucketed Engine and the
+// schedulerAPI is the surface shared by the calendar-queue Engine and the
 // ReferenceEngine, letting one program drive both implementations.
 type schedulerAPI interface {
 	Now() Time
@@ -40,8 +40,12 @@ type traceEntry struct {
 // event appends to the trace and consumes further opcodes, so programs
 // exercise nested scheduling (events scheduling events), zero delays,
 // far-future delays across the ring window, At clamping into the past,
-// and flag-based cancellation (the model's idiom: a stop flag checked
-// at fire time, as used by Ticker and the policy samplers).
+// flag-based cancellation (the model's idiom: a stop flag checked at
+// fire time, as used by Ticker and the policy samplers), and the seams
+// of the ring's layout: delays that cross an occupancy-index word (64
+// cycles) or summary word (4,096 cycles) boundary from wherever the
+// clock sits inside the word, delays that wrap the ring round past the
+// clock's own cycle, and events more than one ring ahead.
 type opInterp struct {
 	eng    schedulerAPI
 	ops    []byte
@@ -74,8 +78,8 @@ func (in *opInterp) exec() bool {
 		in.trace = append(in.trace, traceEntry{id: id, at: now})
 		in.exec() // nested: each event performs the next program op
 	}
-	switch op % 9 {
-	case 0: // small constant delay — the bucket hot path
+	switch op % 12 {
+	case 0: // small constant delay — the ring hot path
 		in.eng.Schedule(Time(val%64), record)
 	case 1: // zero delay — same-cycle FIFO
 		in.eng.Schedule(0, record)
@@ -111,6 +115,17 @@ func (in *opInterp) exec() bool {
 				record(now)
 			})
 		}
+	case 9: // land one cycle either side of the next occupancy-word boundary
+		word := Time(64)
+		if val&4 != 0 {
+			word = 64 * 64 // a summary-word boundary
+		}
+		now := in.eng.Now()
+		in.eng.Schedule(word-now%word+Time(val%3)-1, record)
+	case 10: // wrap the ring: just under a full lap, behind the clock's own cycle
+		in.eng.Schedule(ringSize-1-Time(val%64), record)
+	case 11: // more than a full ring ahead: migrates only after later laps
+		in.eng.Schedule(2*ringSize+Time(val)*977, record)
 	}
 	return true
 }
@@ -145,12 +160,12 @@ func diffTraces(t *testing.T, ops []byte, bkt, ref []traceEntry) {
 	}
 	for i := 0; i < n; i++ {
 		if bkt[i] != ref[i] {
-			t.Fatalf("ops %x: execution traces diverge at %d: bucketed ran op %d @%d, reference op %d @%d",
+			t.Fatalf("ops %x: execution traces diverge at %d: engine ran op %d @%d, reference op %d @%d",
 				ops, i, bkt[i].id, bkt[i].at, ref[i].id, ref[i].at)
 		}
 	}
 	if len(bkt) != len(ref) {
-		t.Fatalf("ops %x: trace lengths diverge: bucketed %d events, reference %d", ops, len(bkt), len(ref))
+		t.Fatalf("ops %x: trace lengths diverge: engine %d events, reference %d", ops, len(bkt), len(ref))
 	}
 }
 
@@ -166,11 +181,11 @@ func checkEquivalence(t *testing.T, ops []byte) {
 		t.Fatalf("ops %x: Executed %d vs reference %d", ops, bExec, rExec)
 	}
 	if bPend != 0 || rPend != 0 {
-		t.Fatalf("ops %x: events left pending after drain: bucketed %d, reference %d", ops, bPend, rPend)
+		t.Fatalf("ops %x: events left pending after drain: engine %d, reference %d", ops, bPend, rPend)
 	}
 }
 
-// TestSchedulerEquivalence differential-tests the bucketed engine
+// TestSchedulerEquivalence differential-tests the calendar-queue engine
 // against the reference heap on a deterministic battery of random
 // event programs: same inputs must produce identical execution traces,
 // clocks, and accounting.
@@ -184,7 +199,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 }
 
 // FuzzSchedulerEquivalence lets the fuzzer hunt for an event program on
-// which the bucketed scheduler and the reference heap disagree. Run
+// which the calendar-queue scheduler and the reference heap disagree. Run
 // longer with: go test -fuzz=FuzzSchedulerEquivalence ./internal/sim
 func FuzzSchedulerEquivalence(f *testing.F) {
 	f.Add([]byte{})
@@ -204,7 +219,7 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 }
 
 // TestEquivalenceKnownHardCases pins programs that target the seams of
-// the bucketed design specifically.
+// the calendar-queue design specifically.
 func TestEquivalenceKnownHardCases(t *testing.T) {
 	cases := map[string][]byte{
 		// Everything lands on one far cycle: heap FIFO by seq.
@@ -221,6 +236,17 @@ func TestEquivalenceKnownHardCases(t *testing.T) {
 			}
 			return b
 		}(),
+		// From a clock inside a word, hop across word and summary-word
+		// boundaries: the occupancy scan must leave the current word.
+		"word-boundary": {4, 5, 9, 0, 9, 1, 9, 2, 9, 4, 9, 5, 9, 6, 0, 37, 9, 1, 9, 6},
+		// With the clock mid-ring, land behind it by a full lap less a
+		// little, so the target cycle's index is below the clock's.
+		"ring-wrap": {0, 50, 10, 0, 10, 63, 0, 3, 10, 7, 4, 200, 10, 1, 10, 2},
+		// Only heap events pending: every RunUntil slice parks the clock
+		// with the ring empty, migrating the heap in several waves.
+		"heap-only-park": {2, 0, 11, 255, 2, 255, 11, 0, 2, 77, 11, 128},
+		// A far event and a wrapped ring event for neighbouring cycles.
+		"far-and-wrap": {0, 10, 10, 0, 2, 0, 10, 9, 11, 3, 9, 4},
 	}
 	for name, ops := range cases {
 		t.Run(name, func(t *testing.T) { checkEquivalence(t, ops) })
@@ -238,7 +264,7 @@ func TestMigrationPreservesInsertionOrder(t *testing.T) {
 	e.Schedule(target, func(Time) { got = append(got, "far-first") }) // heap
 	e.Schedule(600, func(Time) {
 		// now = 600; target is now inside [600, 600+ringSize) — this
-		// insert goes straight into the ring bucket the far event
+		// insert goes straight into the ring list the far event
 		// migrates into.
 		e.At(target, func(Time) { got = append(got, "ring-second") })
 	})

@@ -254,7 +254,7 @@ func (pe *ParallelEngine) SendArg(src, dst int, delay Time, fn ArgEvent, arg int
 func (pe *ParallelEngine) send(src, dst int, delay Time, m crossMsg) {
 	at := pe.checkSend(src, dst, delay)
 	if pe.lockstep {
-		pe.shards[dst].insert(at, scheduled{fn: m.fn, tfn: m.tfn, afn: m.afn, arg: m.arg})
+		pe.shards[dst].insertMsg(at, &m)
 		pe.crossN++
 		return
 	}
@@ -499,7 +499,7 @@ func (pe *ParallelEngine) mergeOutboxes() {
 		if at < dst.now {
 			at = dst.now
 		}
-		dst.insert(at, scheduled{fn: m.fn, tfn: m.tfn, afn: m.afn, arg: m.arg})
+		dst.insertMsg(at, m)
 		pe.crossN++
 	}
 	pe.merged = clearMsgs(pe.merged)
@@ -518,6 +518,13 @@ func sortMsgs(msgs []crossMsg) {
 		}
 		msgs[j+1] = m
 	}
+}
+
+// insertMsg queues a cross-shard message's callback on engine e at
+// absolute time at.
+func (e *Engine) insertMsg(at Time, m *crossMsg) {
+	r := e.insert(at)
+	r.fn, r.tfn, r.afn, r.arg = m.fn, m.tfn, m.afn, m.arg
 }
 
 func msgLess(a, b crossMsg) bool {

@@ -2,12 +2,34 @@ package sim
 
 import "container/heap"
 
+// scheduled is one queued event of the ReferenceEngine: its (time, seq)
+// stamp and exactly one of the three callback variants Engine accepts.
+type scheduled struct {
+	at  Time
+	seq uint64
+	fn  Event
+	tfn func()
+	afn ArgEvent
+	arg int
+}
+
+func (s *scheduled) call(now Time) {
+	switch {
+	case s.fn != nil:
+		s.fn(now)
+	case s.afn != nil:
+		s.afn(now, s.arg)
+	default:
+		s.tfn()
+	}
+}
+
 // ReferenceEngine is the original binary-heap scheduler this package
 // shipped with, kept compiled in as the executable specification of the
 // (time, insertion-order) contract. It is deliberately boring: one
 // container/heap ordered by (at, seq), no buckets, no pooling.
 //
-// The bucketed Engine must be observationally identical to it — same
+// The calendar-queue Engine must be observationally identical to it — same
 // execution order, same clock, same Pending/Executed accounting — for
 // every possible event program. TestSchedulerEquivalence and
 // FuzzSchedulerEquivalence drive both implementations with the same

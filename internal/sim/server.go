@@ -53,17 +53,6 @@ func (s *Server) Transfer(size int, done Event) Time {
 	return complete
 }
 
-// TransferFunc is Transfer for a clock-ignoring completion callback:
-// the caller's existing func() is queued directly instead of being
-// wrapped in a fresh func(Time) closure.
-func (s *Server) TransferFunc(size int, done func()) Time {
-	complete := s.occupy(size)
-	if done != nil {
-		s.eng.AtThunk(complete, done)
-	}
-	return complete
-}
-
 // TransferArg is Transfer for a long-lived ArgEvent callback plus an
 // integer argument: the completion path for pooled continuations (the
 // memory datapath passes a transaction index through fn's arg instead

@@ -203,46 +203,6 @@ func (s Spec) Program(o Options) core.Program {
 	return prog
 }
 
-// InstructionEstimate approximates the warp instruction count of the
-// materialized program: a budget guide for harness sizing.
-func (s Spec) InstructionEstimate(o Options) int64 {
-	if o.IterScale <= 0 {
-		o.IterScale = 1
-	}
-	phases := s.Phases
-	if len(phases) == 0 {
-		phases = []Phase{{}}
-	}
-	var total int64
-	for _, ph := range phases {
-		repeat := ph.Repeat
-		if repeat < 1 {
-			repeat = 1
-		}
-		ctas := pick(ph.CTAs, s.CTAs)
-		if o.MaxCTAs > 0 && ctas > o.MaxCTAs {
-			ctas = o.MaxCTAs
-		}
-		warps := pick(ph.Warps, s.Warps)
-		iters := int(float64(pick(ph.Iters, s.Iters)) * o.IterScale)
-		if iters < 2 {
-			iters = 2
-		}
-		perIter := 0
-		if ph.LocalLines+ph.HaloLines+ph.SharedLines > 0 {
-			perIter++
-		}
-		if ph.StoreLines > 0 {
-			perIter++
-		}
-		if perIter == 0 {
-			perIter = 1
-		}
-		total += int64(repeat) * int64(ctas) * int64(warps) * int64(iters) * int64(perIter)
-	}
-	return total
-}
-
 func pick(v, dflt int) int {
 	if v != 0 {
 		return v

@@ -54,14 +54,15 @@ type pathHop struct {
 // validated against the lookahead bound at delivery when sharding is
 // enabled.
 type routeRec struct {
-	path   []pathHop
-	pos    int
-	size   int
-	src    arch.SocketID
-	dst    arch.SocketID
-	sentAt sim.Time
-	doneEv sim.Event
-	doneFn func()
+	path    []pathHop
+	pos     int
+	size    int
+	src     arch.SocketID
+	dst     arch.SocketID
+	sentAt  sim.Time
+	doneEv  sim.Event
+	doneFn  sim.ArgEvent // with doneArg: the pooled-continuation variant
+	doneArg int
 }
 
 // NewFabric builds the fabric for a system described by cfg. It panics
@@ -314,7 +315,7 @@ func (f *Fabric) step(now sim.Time, arg int) {
 		h.link.SendArg(h.dir, r.size, f.hopEv, arg)
 		return
 	}
-	doneEv, doneFn := r.doneEv, r.doneFn
+	doneEv, doneFn, doneArg := r.doneEv, r.doneFn, r.doneArg
 	if f.pe != nil {
 		// Delivered: the stamp proves this crossing respected the
 		// lookahead bound (NoteCross panics otherwise).
@@ -325,7 +326,7 @@ func (f *Fabric) step(now sim.Time, arg int) {
 	if doneEv != nil {
 		doneEv(now)
 	} else if doneFn != nil {
-		doneFn()
+		doneFn(now, doneArg)
 	}
 }
 
@@ -345,18 +346,20 @@ func (f *Fabric) Route(src, dst arch.SocketID, size int, done sim.Event) {
 	f.step(f.eng.Now(), idx)
 }
 
-// RouteFunc is Route for a clock-ignoring delivery callback; the
-// core-package remote memory protocol uses it to queue its func()
-// continuations without per-message adapter closures.
-func (f *Fabric) RouteFunc(src, dst arch.SocketID, size int, done func()) {
+// RouteArg is Route for a long-lived ArgEvent continuation plus an
+// integer argument: the core-package remote memory protocol passes its
+// pooled round-trip record index through arg, so no closure is built
+// per message. fn may be nil.
+func (f *Fabric) RouteArg(src, dst arch.SocketID, size int, fn sim.ArgEvent, arg int) {
 	if src == dst {
-		if done != nil {
-			f.eng.ScheduleThunk(f.switchLat, done)
+		if fn != nil {
+			f.eng.ScheduleArg(f.switchLat, fn, arg)
 		}
 		return
 	}
 	idx := f.acquire(src, dst, size)
-	f.recs[idx].doneFn = done
+	r := &f.recs[idx]
+	r.doneFn, r.doneArg = fn, arg
 	f.step(f.eng.Now(), idx)
 }
 

@@ -116,15 +116,6 @@ func (l *Link) Send(dir Direction, size int, done sim.Event) {
 	l.srv[dir].Transfer(size, done)
 }
 
-// SendFunc is Send for a clock-ignoring completion callback, queued
-// without an adapter closure (the remote read/write ack paths).
-func (l *Link) SendFunc(dir Direction, size int, done func()) {
-	l.Sent[dir].Advance(uint64(size))
-	l.balBytes[dir].Add(uint64(size))
-	l.profBytes[dir].Add(uint64(size))
-	l.srv[dir].TransferFunc(size, done)
-}
-
 // SendArg is Send for a long-lived ArgEvent continuation plus an
 // integer argument: the fabric's multi-hop walker passes its pooled
 // route-record index through arg instead of allocating a closure per

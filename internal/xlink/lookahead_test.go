@@ -148,7 +148,7 @@ func TestShardedRouteValidation(t *testing.T) {
 	for src := 0; src < 4; src++ {
 		for dst := 0; dst < 4; dst++ {
 			if src != dst {
-				f.RouteFunc(arch.SocketID(src), arch.SocketID(dst), 128, func() { delivered++ })
+				f.RouteArg(arch.SocketID(src), arch.SocketID(dst), 128, func(sim.Time, int) { delivered++ }, 0)
 			}
 		}
 	}
@@ -164,7 +164,7 @@ func TestShardedRouteValidation(t *testing.T) {
 	// loudly: with the bound inflated past the unloaded path cost plus
 	// its serialization slack, the real fastest path is now sub-bound.
 	pe, f = build(64)
-	f.RouteFunc(0, 1, 1, nil) // minimal serialization: near the unloaded path cost
+	f.RouteArg(0, 1, 1, nil, 0) // minimal serialization: near the unloaded path cost
 	defer func() {
 		p := recover()
 		if p == nil {

@@ -47,7 +47,7 @@ func TestMultiHopLatencyAccounting(t *testing.T) {
 			f.LinkAt(0).Sent[Egress].Value(), f.LinkAt(1).Sent[Egress].Value())
 	}
 	// And the reverse route uses the Ingress directions.
-	f.RouteFunc(2, 0, 64, nil)
+	f.RouteArg(2, 0, 64, nil, 0)
 	eng.Run()
 	if f.LinkAt(0).Sent[Ingress].Value() != 64 || f.LinkAt(1).Sent[Ingress].Value() != 64 {
 		t.Fatal("reverse route must use the B→A directions")
@@ -104,7 +104,7 @@ func TestCrossbarPathsMatchLegacyStar(t *testing.T) {
 }
 
 // TestRouteAllocFree: the steady-state routing datapath — loopback and
-// multi-hop, Event and func() callbacks — must not allocate per
+// multi-hop, Event and ArgEvent callbacks — must not allocate per
 // message. The loopback path used to build a per-message adapter
 // closure; this pins the fix.
 func TestRouteAllocFree(t *testing.T) {
@@ -112,23 +112,23 @@ func TestRouteAllocFree(t *testing.T) {
 	f := NewFabric(eng, arch.TestConfig())
 	var delivered int
 	doneEv := sim.Event(func(sim.Time) { delivered++ })
-	doneFn := func() { delivered++ }
+	doneFn := sim.ArgEvent(func(sim.Time, int) { delivered++ })
 
 	// Warm the route-record pool, the engine's event storage, and the
 	// servers.
 	for i := 0; i < 64; i++ {
 		f.Route(0, 2, 128, doneEv)
-		f.RouteFunc(2, 1, 128, doneFn)
+		f.RouteArg(2, 1, 128, doneFn, 7)
 		f.Route(1, 1, 64, doneEv)
-		f.RouteFunc(3, 3, 64, doneFn)
+		f.RouteArg(3, 3, 64, doneFn, 7)
 	}
 	eng.Run()
 
 	allocs := testing.AllocsPerRun(100, func() {
 		f.Route(0, 2, 128, doneEv)
-		f.RouteFunc(2, 1, 128, doneFn)
+		f.RouteArg(2, 1, 128, doneFn, 7)
 		f.Route(1, 1, 64, doneEv)
-		f.RouteFunc(3, 3, 64, doneFn)
+		f.RouteArg(3, 3, 64, doneFn, 7)
 		f.Route(0, 3, 256, nil)
 		eng.Run()
 	})

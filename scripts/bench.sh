@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # scripts/bench.sh — measure the simulation core and the model datapath,
 # emitting BENCH_sim.json: engine microbenchmarks (ns/event, allocs/event,
-# events/sec) for the bucketed scheduler and the reference heap it
+# events/sec) for the calendar-queue scheduler and the reference heap it
 # replaced, model-level datapath benchmarks (ns and allocs per access
 # pattern, internal/gpu), the wall-clock time of regenerating every
 # experiment at -quick scale, and an append-only `history` array that
@@ -200,6 +200,7 @@ END {
   printf "    \"mixed_delays\": %s,\n",   entry("BenchmarkEngineMixedDelays")
   printf "    \"same_cycle_fifo\": %s,\n", entry("BenchmarkEngineSameCycleFIFO")
   printf "    \"schedule_arg\": %s,\n",   entry("BenchmarkEngineScheduleArg")
+  printf "    \"backlog\": %s,\n",        entry("BenchmarkEngineBacklog")
   printf "    \"far_future\": %s\n",      entry("BenchmarkEngineFarFuture")
   printf "  },\n"
   printf "  \"reference_engine\": {\n"
@@ -257,12 +258,15 @@ if command -v jq >/dev/null 2>&1; then
         benchtime: $cur.benchtime,
         quick_all_wall_seconds: $cur.quick_all_wall_seconds,
         engine_steady_ns_per_event: $cur.engine.steady_state.ns_per_event,
+        engine_backlog_ns_per_event: $cur.engine.backlog.ns_per_event,
         parallel_windowed4_ns_per_event: $cur.parallel.windowed_4shard.ns_per_event,
         parallel_lockstep4_ns_per_event: $cur.parallel.lockstep_4shard.ns_per_event,
         fig8_quick_shards4_wall_seconds: $cur.parallel.fig8_quick_shards4_wall_seconds,
         obs_overhead_pct: $cur.obs.overhead_pct,
         model_l1_hit_ns: $cur.model.l1_hit.ns_per_op,
         model_l2_miss_ns: $cur.model.l2_miss.ns_per_op,
+        model_remote_read_ns: $cur.model.remote_read.ns_per_op,
+        model_remote_read_allocs: $cur.model.remote_read.allocs_per_op,
         model_mshr_merge_ns: $cur.model.mshr_merge.ns_per_op,
         model_socket_workload_ns: $cur.model.socket_workload.ns_per_op
       } + (if $fabric != null then {
