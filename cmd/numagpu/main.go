@@ -94,7 +94,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	divisor := fs.Int("divisor", 8, "architecture scale divisor")
 	quick := fs.Bool("quick", false, "quick mode (iterscale 0.25)")
 	parallel := fs.Int("j", runtime.GOMAXPROCS(0), "simulations to run in parallel")
-	shards := fs.Int("shards", 1, "engine shards per simulation (results are byte-identical to -shards 1)")
 	remote := fs.String("remote", "", "numagpud coordinator URL: execute simulations on the sweep fabric")
 	follow := fs.Bool("follow", false, "render per-run completions on stderr as results land")
 	topoPath := fs.String("topology", "", "topology JSON file replacing the synthesized crossbar (docs/TOPOLOGY.md)")
@@ -183,7 +182,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}()
 	}
-	opts := exp.Options{Divisor: *divisor, IterScale: *iterScale, Parallelism: *parallel, Topology: topology, EngineShards: *shards}
+	opts := exp.Options{Divisor: *divisor, IterScale: *iterScale, Parallelism: *parallel, Topology: topology}
 	if *quick {
 		opts.IterScale = 0.25
 	}

@@ -193,22 +193,6 @@ func TestRunGoldenOutput(t *testing.T) {
 	}
 }
 
-func TestRunShardedGoldenIdentical(t *testing.T) {
-	// -shards is execution policy: the golden rendering of a sharded run
-	// must be byte-identical to the serial run of the same experiment.
-	code, serial, stderr := runCLI(t, "-quick", "-golden", "fig2")
-	if code != 0 {
-		t.Fatalf("serial exit %d, want 0 (stderr: %s)", code, stderr)
-	}
-	code, sharded, stderr := runCLI(t, "-quick", "-shards", "4", "-golden", "fig2")
-	if code != 0 {
-		t.Fatalf("sharded exit %d, want 0 (stderr: %s)", code, stderr)
-	}
-	if serial != sharded {
-		t.Fatal("-shards 4 output diverged from serial -golden output")
-	}
-}
-
 func TestRunGoldenJSONExclusive(t *testing.T) {
 	code, _, stderr := runCLI(t, "-golden", "-json", "fig2")
 	if code != 2 {

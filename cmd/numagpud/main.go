@@ -101,7 +101,6 @@ func main() {
 	quick := flag.Bool("quick", false, "quick mode (iterscale 0.25)")
 	parallel := flag.Int("j", runtime.GOMAXPROCS(0), "simulations to run in parallel per sweep")
 	workers := flag.Int("workers", 2, "jobs executing concurrently")
-	shards := flag.Int("shards", 1, "engine shards per simulation (results are byte-identical to -shards 1)")
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "declare a fabric worker dead after this long without a poll")
 	worker := flag.Bool("worker", false, "run as a fabric worker for -coordinator-url")
 	coordURL := flag.String("coordinator-url", "", "coordinator base URL (worker mode)")
@@ -126,7 +125,6 @@ func main() {
 			CoordinatorURL: *coordURL,
 			Name:           *workerName,
 			Window:         *window,
-			EngineShards:   *shards,
 		}
 		if *verbose {
 			wcfg.Mirror = os.Stderr
@@ -150,11 +148,10 @@ func main() {
 	}
 
 	opts := exp.Options{
-		Divisor:      *divisor,
-		IterScale:    *iterScale,
-		MaxCTAs:      *maxCTAs,
-		Parallelism:  *parallel,
-		EngineShards: *shards,
+		Divisor:     *divisor,
+		IterScale:   *iterScale,
+		MaxCTAs:     *maxCTAs,
+		Parallelism: *parallel,
 	}
 	if *quick {
 		opts.IterScale = 0.25

@@ -222,24 +222,13 @@ type Config struct {
 	// inherit LanesPerDir / LaneBandwidth / LinkLatency.
 	Topology *topo.Topology `json:",omitempty"`
 
-	// EngineShards selects sharded event execution: above 1 the system
-	// runs on a sim.ParallelEngine with min(EngineShards, Sockets)
-	// socket shards plus a fabric/home shard, with the lookahead bound
-	// derived from the fabric's minimum inter-socket path cost. 0 or 1
-	// keeps the single serial engine. The observable event schedule —
-	// and therefore every result — is identical either way, which is
-	// why the field is execution policy, not configuration: it is
-	// excluded from experiment cache keys.
-	EngineShards int `json:",omitempty"`
-
 	// Obs enables the opt-in observability layer (internal/obs):
 	// per-socket/per-link/per-cache time series and an optional Chrome
 	// trace, sampled by read-only probes that never mutate model state.
-	// Like EngineShards it is execution policy, not configuration —
-	// observation must not change simulation identity, so the block is
-	// excluded from experiment cache keys (byte-identity with sampling
-	// on is enforced by TestObsOnByteIdentical; key exemption by
-	// TestRunKeyIgnoresObs).
+	// It is execution policy, not configuration — observation must not
+	// change simulation identity, so the block is excluded from
+	// experiment cache keys (byte-identity with sampling on is enforced
+	// by TestObsOnByteIdentical; key exemption by TestRunKeyIgnoresObs).
 	Obs ObsSpec `json:",omitzero"`
 }
 
@@ -398,8 +387,6 @@ func (c Config) Validate() error {
 		return cfgError("bandwidths must be positive")
 	case c.LinkSampleTime < 1 || c.CacheSampleTime < 1:
 		return cfgError("sample times must be >= 1")
-	case c.EngineShards < 0:
-		return cfgError("EngineShards must be >= 0")
 	case c.Obs.SamplePeriod < 0 || c.Obs.MaxSamples < 0 || c.Obs.MaxTraceEvents < 0:
 		return cfgError("Obs capacities and sample period must be >= 0")
 	}

@@ -43,8 +43,7 @@ type Program struct {
 
 // System is the single logical NUMA GPU exposed to the programmer.
 type System struct {
-	eng     *sim.Engine         // the runtime/fabric engine: home shard when sharded, the only engine otherwise
-	pe      *sim.ParallelEngine // sharded execution (Config.EngineShards > 1); nil for serial runs
+	eng     *sim.Engine
 	cfg     arch.Config
 	mem     *vmm.Memory
 	fabric  *xlink.Fabric // nil when Sockets == 1
@@ -59,12 +58,12 @@ type System struct {
 	rtx         []remoteTx     // remote round-trip pool (see remoteTx)
 	rtxFree     int32          // free-list head, -1 when empty
 	rtxUsed     int
-	readHomeEv  sim.ArgEvent // remote protocol stages, bound once
-	readRespEv  sim.ArgEvent
-	writeHomeEv sim.ArgEvent
-	bulkHomeEv  sim.ArgEvent
-	ackEv       sim.ArgEvent
-	arriveEv    sim.ArgEvent
+	readHomeEv  sim.Handler // remote protocol stages, bound once
+	readRespEv  sim.Handler
+	writeHomeEv sim.Handler
+	bulkHomeEv  sim.Handler
+	ackEv       sim.Handler
+	arriveEv    sim.Handler
 	kernels     []Kernel
 	kernelIdx   int
 	socketsLeft int
@@ -86,40 +85,15 @@ func NewSystem(cfg arch.Config) (*System, error) {
 		drain:   &gpu.Drain{},
 		rtxFree: -1,
 	}
-	s.readHomeEv = s.readHome
-	s.readRespEv = s.readResp
-	s.writeHomeEv = s.writeHome
-	s.bulkHomeEv = s.bulkHome
-	s.ackEv = s.ack
-	s.arriveEv = s.arrive
-	// Sharded execution: min(EngineShards, Sockets) socket shards plus a
-	// fabric/home shard, run in lockstep so the global (time, seq)
-	// schedule — and every result — is byte-identical to the serial
-	// engine. The model's sockets are synchronously coupled outside the
-	// event queue (first-touch placement, home-side service, the drain
-	// counter), so free-running windows would need state partitioning
-	// first; lockstep still gives shard-assigned queues, per-shard event
-	// accounting, and runtime validation of the lookahead bound.
-	shards := cfg.EngineShards
-	if shards > cfg.Sockets {
-		shards = cfg.Sockets
-	}
-	if shards > 1 {
-		// Lookahead starts at the floor and is raised to the derived
-		// bound once the fabric exists.
-		s.pe = sim.NewLockstep(shards+1, 1)
-		s.eng = s.pe.Shard(shards)
-	} else {
-		s.eng = sim.New()
-	}
+	s.eng = sim.New()
+	s.readHomeEv = s.eng.Bind(s.readHome)
+	s.readRespEv = s.eng.Bind(s.readResp)
+	s.writeHomeEv = s.eng.Bind(s.writeHome)
+	s.bulkHomeEv = s.eng.Bind(s.bulkHome)
+	s.ackEv = s.eng.Bind(s.ack)
+	s.arriveEv = s.eng.Bind(s.arrive)
 	if cfg.Sockets > 1 {
 		s.fabric = xlink.NewFabric(s.eng, cfg)
-	}
-	if s.pe != nil && s.fabric != nil {
-		if la := s.fabric.MinPathCost(); la > 1 {
-			s.pe.SetLookahead(la)
-		}
-		s.fabric.EnableSharding(s.pe, func(id arch.SocketID) int { return int(id) % shards })
 	}
 	if cfg.Obs.Enabled() {
 		s.obsc = obs.New(cfg.Obs)
@@ -129,14 +103,10 @@ func NewSystem(cfg arch.Config) (*System, error) {
 		if s.fabric != nil {
 			port = s.fabric.Port(arch.SocketID(i))
 		}
-		eng := s.eng
-		if s.pe != nil {
-			eng = s.pe.Shard(i % shards)
-		}
-		sock := gpu.NewSocket(eng, socketConfig(cfg, i), arch.SocketID(i), s.mem, s, port, s.drain, s.onSocketDone)
+		sock := gpu.NewSocket(s.eng, socketConfig(cfg, i), arch.SocketID(i), s.mem, s, port, s.drain, s.onSocketDone)
 		s.sockets = append(s.sockets, sock)
 		if s.obsc != nil {
-			s.obsc.AddSocket(eng, socketConfig(cfg, i), sock)
+			s.obsc.AddSocket(s.eng, socketConfig(cfg, i), sock)
 		}
 	}
 	if s.obsc != nil {
@@ -208,14 +178,8 @@ func MustSystem(cfg arch.Config) *System {
 	return s
 }
 
-// Engine exposes the simulation engine (examples, tests). When the
-// system is sharded this is the fabric/home shard; drive execution
-// through Run, not the shard engines.
+// Engine exposes the simulation engine (examples, tests).
 func (s *System) Engine() *sim.Engine { return s.eng }
-
-// Parallel exposes the sharded engine, nil for serial runs — tests use
-// it for event-count parity and cross-shard delivery accounting.
-func (s *System) Parallel() *sim.ParallelEngine { return s.pe }
 
 // Config reports the system configuration.
 func (s *System) Config() arch.Config { return s.cfg }
@@ -236,16 +200,16 @@ func (s *System) Fabric() *xlink.Fabric { return s.fabric }
 // remoteTx is one in-flight remote round trip: a line read, a line
 // write or a bulk flush burst from socket src to home and back. Records
 // live in System.rtx on an index-linked free list, and every protocol
-// stage schedules the next through a pre-bound sim.ArgEvent carrying
-// the record index — the gpu datapath's pooling idiom, so a remote
+// stage schedules the next through a bound handler carrying the record
+// index — the gpu datapath's pooling idiom, so a remote
 // access allocates nothing. A fabric delivery calls its stage directly,
 // without an event of its own, which keeps the protocol's event
 // schedule, and with it every result, fixed.
 type remoteTx struct {
 	src, home arch.SocketID
 	line      arch.LineID
-	lines     int          // bulk flush burst size
-	done      sim.ArgEvent // the requester's continuation; may be nil
+	lines     int         // bulk flush burst size
+	done      sim.Handler // the requester's continuation; 0 runs nothing
 	arg       int
 	t0        sim.Time // trace span start (Config.Obs.Trace only)
 	name      int32    // interned trace span name
@@ -253,7 +217,7 @@ type remoteTx struct {
 }
 
 // getTx takes a pooled round-trip record for a transfer src → home.
-func (s *System) getTx(src, home arch.SocketID, done sim.ArgEvent, arg int) int {
+func (s *System) getTx(src, home arch.SocketID, done sim.Handler, arg int) int {
 	i := s.rtxFree
 	if i < 0 {
 		s.rtx = append(s.rtx, remoteTx{})
@@ -269,7 +233,7 @@ func (s *System) getTx(src, home arch.SocketID, done sim.ArgEvent, arg int) int 
 
 // RemoteRead implements gpu.Remote: request to home, home-side service,
 // data response back.
-func (s *System) RemoteRead(src, home arch.SocketID, l arch.LineID, done sim.ArgEvent, arg int) {
+func (s *System) RemoteRead(src, home arch.SocketID, l arch.LineID, done sim.Handler, arg int) {
 	i := s.getTx(src, home, done, arg)
 	s.rtx[i].line = l
 	if s.tr != nil {
@@ -290,7 +254,7 @@ func (s *System) readResp(_ sim.Time, i int) {
 }
 
 // RemoteWrite implements gpu.Remote: full line to home, small ack back.
-func (s *System) RemoteWrite(src, home arch.SocketID, l arch.LineID, done sim.ArgEvent, arg int) {
+func (s *System) RemoteWrite(src, home arch.SocketID, l arch.LineID, done sim.Handler, arg int) {
 	i := s.getTx(src, home, done, arg)
 	s.rtx[i].line = l
 	if s.tr != nil {
@@ -305,7 +269,7 @@ func (s *System) writeHome(_ sim.Time, i int) {
 }
 
 // RemoteWriteBulk implements gpu.Remote for aggregated flush bursts.
-func (s *System) RemoteWriteBulk(src, home arch.SocketID, n int, done sim.ArgEvent, arg int) {
+func (s *System) RemoteWriteBulk(src, home arch.SocketID, n int, done sim.Handler, arg int) {
 	i := s.getTx(src, home, done, arg)
 	s.rtx[i].lines = n
 	if s.tr != nil {
@@ -336,8 +300,8 @@ func (s *System) arrive(now sim.Time, i int) {
 	s.rtx[i] = remoteTx{next: s.rtxFree}
 	s.rtxFree = int32(i)
 	s.rtxUsed--
-	if t.done != nil {
-		t.done(now, t.arg)
+	if t.done != 0 {
+		s.eng.Call(t.done, t.arg)
 	}
 }
 
@@ -367,11 +331,7 @@ func (s *System) Run(prog Program) Result {
 	s.kernels = prog.Kernels
 	s.startPolicies()
 	s.launchNext()
-	if s.pe != nil {
-		s.pe.Run()
-	} else {
-		s.eng.Run()
-	}
+	s.eng.Run()
 	if !s.finished {
 		msg := fmt.Sprintf("core: simulation deadlocked: kernel %d/%d, socketsLeft=%d, drain=%d",
 			s.kernelIdx, len(s.kernels), s.socketsLeft, s.drain.Outstanding())

@@ -126,12 +126,10 @@ func TestRunKeyEncodesScale(t *testing.T) {
 func TestRunKeyCoversEveryConfigField(t *testing.T) {
 	// Execution policy fields change how the simulation runs, not what
 	// it computes; keying them would needlessly split shared caches.
-	// EngineShards: byte-identity is enforced by TestGoldenMastersSharded
-	// and core's TestShardedRunMatchesSerial.
 	// Obs: observation is read-only by construction; byte-identity with
 	// sampling on is enforced by TestObsOnByteIdentical and the exemption
 	// itself by TestRunKeyIgnoresObs.
-	policy := map[string]bool{"EngineShards": true, "Obs": true}
+	policy := map[string]bool{"Obs": true}
 	r := NewRunner(tinyOptions())
 	spec := r.opts.Workloads[0]
 	base := arch.PaperConfig()

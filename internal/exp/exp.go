@@ -63,19 +63,13 @@ type Options struct {
 	// with other socket counts (monolithic references, cross-socket
 	// scaling sweeps) keep the synthesized crossbar.
 	Topology *topo.Topology
-	// EngineShards, when > 1, runs every local simulation on a sharded
-	// lockstep engine: one shard per socket (clamped to the socket
-	// count) plus a fabric/home shard. Execution policy only — results
-	// are byte-identical to the serial engine, so the setting is
-	// excluded from run and cache keys and never sent to a Backend.
-	EngineShards int
 	// Obs, when enabled, attaches the internal/obs observability layer
-	// to every local simulation. Execution policy like EngineShards:
-	// results are byte-identical with observation on, so the spec is
-	// excluded from run and cache keys and applied after key
-	// computation. An observed run must actually simulate, so the
-	// cache-read and Backend fast paths are skipped (results are still
-	// written back to the cache — they are the same bytes).
+	// to every local simulation. Execution policy only: results are
+	// byte-identical with observation on, so the spec is excluded from
+	// run and cache keys and applied after key computation. An
+	// observed run must actually simulate, so the cache-read and
+	// Backend fast paths are skipped (results are still written back
+	// to the cache — they are the same bytes).
 	Obs arch.ObsSpec
 	// ObsSink receives each observed run's collector after the
 	// simulation finishes, before Run returns. Called once per unique
@@ -319,13 +313,9 @@ func (r *Runner) runKeyed(key string, cfg arch.Config, spec workload.Spec) (core
 			// Backend unavailable: simulate locally below.
 		}
 		simCfg := cfg
-		if r.opts.EngineShards > 1 {
-			// Applied after RunKey/cfgKey: the shard count must never
-			// split the memo or poison a shared cache.
-			simCfg.EngineShards = r.opts.EngineShards
-		}
 		if observed {
-			// Also post-key: observation must not change run identity.
+			// Applied after RunKey/cfgKey: observation must not change
+			// run identity.
 			simCfg.Obs = r.opts.Obs
 		}
 		sys := core.MustSystem(simCfg)

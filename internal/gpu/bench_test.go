@@ -42,7 +42,7 @@ func newBenchHarness(mode arch.CacheMode, sms int) *benchHarness {
 		mm:    vmm.New(cfg.Sockets, arch.PlaceFirstTouch),
 		drain: &Drain{},
 	}
-	remote := &fakeRemote{eng: eng}
+	remote := newFakeRemote(eng)
 	h.sock = NewSocket(eng, cfg, 0, h.mm, remote, nil, h.drain, func(arch.SocketID) {})
 	h.sock.onLoadDone = func(sm, slot int) { h.done++ }
 	return h

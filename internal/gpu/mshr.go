@@ -120,12 +120,11 @@ func (p *reqPool) release(i int32) {
 
 // homeReq carries a home-side read (serving a remote requester) through
 // its DRAM fetch when the memory-side L2 caches the returned line.
-// done(now, arg) is the response continuation handed in by the core
-// layer; done is cleared on release so the pool never pins a dead
-// callback.
+// done is the response continuation handed in by the core layer, run
+// with arg.
 type homeReq struct {
 	line arch.LineID
-	done sim.ArgEvent
+	done sim.Handler
 	arg  int
 	next int32
 }
@@ -142,7 +141,7 @@ func (p *homePool) init(capHint int) {
 	p.free = nilIdx
 }
 
-func (p *homePool) alloc(line arch.LineID, done sim.ArgEvent, arg int) int32 {
+func (p *homePool) alloc(line arch.LineID, done sim.Handler, arg int) int32 {
 	p.used++
 	if p.free == nilIdx {
 		p.reqs = append(p.reqs, homeReq{line: line, done: done, arg: arg})
@@ -156,7 +155,6 @@ func (p *homePool) alloc(line arch.LineID, done sim.ArgEvent, arg int) int32 {
 }
 
 func (p *homePool) release(i int32) {
-	p.reqs[i].done = nil
 	p.reqs[i].next = p.free
 	p.free = i
 	p.used--

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/arch"
@@ -198,17 +199,26 @@ func TestPoolsRecycleWithoutGrowth(t *testing.T) {
 	}
 }
 
+// TestHomePoolClearsCallbacks pins that a home-side read carries its
+// continuation through the pool intact and that no record can pin a
+// callback: the pool stores a bound handler, an integer, so a released
+// record holds no pointer at all.
 func TestHomePoolClearsCallbacks(t *testing.T) {
+	eng := sim.New()
 	var homes homePool
 	homes.init(2)
 	fired := -1
-	i := homes.alloc(1, func(_ sim.Time, arg int) { fired = arg }, 42)
-	homes.reqs[i].done(0, homes.reqs[i].arg)
+	i := homes.alloc(1, eng.Bind(func(_ sim.Time, arg int) { fired = arg }), 42)
+	eng.Call(homes.reqs[i].done, homes.reqs[i].arg)
 	homes.release(i)
 	if fired != 42 {
 		t.Fatalf("callback saw arg %d, want 42", fired)
 	}
-	if homes.reqs[i].done != nil {
-		t.Fatal("release must clear the callback so the pool cannot pin it")
+	typ := reflect.TypeOf(homeReq{})
+	for f := 0; f < typ.NumField(); f++ {
+		switch typ.Field(f).Type.Kind() {
+		case reflect.Pointer, reflect.Func, reflect.Slice, reflect.Map, reflect.Interface, reflect.Chan, reflect.String:
+			t.Fatalf("homeReq.%s can pin memory; the pool must hold integers only", typ.Field(f).Name)
+		}
 	}
 }

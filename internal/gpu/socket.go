@@ -16,20 +16,20 @@ import (
 // package implements it on top of the switch fabric.
 //
 // Completions follow the datapath's pooling idiom: the caller hands in
-// a long-lived sim.ArgEvent plus an integer (a pool index), and the
-// implementation calls done(now, arg) when the transfer completes, so
-// no closure is built per remote access.
+// a handler bound on the shared engine plus an integer (a pool index),
+// and the implementation runs done with arg when the transfer
+// completes, so no closure is built per remote access.
 type Remote interface {
-	// RemoteRead fetches line l from its home socket; done fires when
+	// RemoteRead fetches line l from its home socket; done runs when
 	// the data response has arrived back at src.
-	RemoteRead(src, home arch.SocketID, l arch.LineID, done sim.ArgEvent, arg int)
+	RemoteRead(src, home arch.SocketID, l arch.LineID, done sim.Handler, arg int)
 	// RemoteWrite pushes a full-line write to the home socket; done
-	// fires when the ack returns to src and may be nil.
-	RemoteWrite(src, home arch.SocketID, l arch.LineID, done sim.ArgEvent, arg int)
+	// runs when the ack returns to src (a zero done runs nothing).
+	RemoteWrite(src, home arch.SocketID, l arch.LineID, done sim.Handler, arg int)
 	// RemoteWriteBulk pushes an aggregate of n dirty lines to the home
-	// socket in one burst (coherence flush traffic); done fires when
-	// the ack returns to src and may be nil.
-	RemoteWriteBulk(src, home arch.SocketID, n int, done sim.ArgEvent, arg int)
+	// socket in one burst (coherence flush traffic); done runs when
+	// the ack returns to src (a zero done runs nothing).
+	RemoteWriteBulk(src, home arch.SocketID, n int, done sim.Handler, arg int)
 }
 
 // Socket is one GPU of the multi-socket system.
@@ -38,10 +38,10 @@ type Remote interface {
 // warp load allocates one pooled memTx, each L1 miss or store one
 // pooled lineReq, and every stage (NoC hop, L2 lookup, DRAM fetch,
 // response, L1 fill, remote round trip, home-side service) schedules
-// the next via a pre-bound sim.ArgEvent carrying the pool index — no
-// closure is created anywhere on the load or store path, local or
-// remote. MSHR merging runs through open-addressed tables whose merged
-// waiters are pooled chain nodes (see mshr.go).
+// the next through a handler bound once on the engine, carrying the
+// pool index — no closure is created anywhere on the load or store
+// path, local or remote. MSHR merging runs through open-addressed
+// tables whose merged waiters are pooled chain nodes (see mshr.go).
 type Socket struct {
 	eng    *sim.Engine
 	cfg    arch.Config
@@ -69,20 +69,20 @@ type Socket struct {
 	chain waiterPool
 	homes homePool
 
-	// Pre-bound stage continuations (one method value each, bound at
-	// construction; every event on the datapath reuses them with a pool
-	// index as argument).
-	txLineDoneEv sim.ArgEvent
-	l2ReqEv      sim.ArgEvent
-	l2RespEv     sim.ArgEvent
-	l1FillEv     sim.ArgEvent
-	l1DoneEv     sim.ArgEvent
-	dramRespEv   sim.ArgEvent
-	storeEv      sim.ArgEvent
-	homeReadEv   sim.ArgEvent
-	remoteFillEv sim.ArgEvent // remote response, remote-caching modes
-	remoteRespEv sim.ArgEvent // remote response, memory-side mode
-	drainDecEv   sim.ArgEvent // store and writeback drains (arg unused)
+	// Stage continuations, bound on the engine at construction; every
+	// event on the datapath reuses them with a pool index as argument.
+	txLineDoneEv sim.Handler
+	l2ReqEv      sim.Handler
+	l2RespEv     sim.Handler
+	l1FillEv     sim.Handler
+	l1DoneEv     sim.Handler
+	dramRespEv   sim.Handler
+	storeEv      sim.Handler
+	homeReadEv   sim.Handler
+	remoteFillEv sim.Handler // remote response, remote-caching modes
+	remoteRespEv sim.Handler // remote response, memory-side mode
+	drainDecEv   sim.Handler // store and writeback drains (arg unused)
+	allDoneEv    sim.Handler // an empty kernel share completes
 
 	// onLoadDone dispatches a completed warp load back to its SM; tests
 	// and benchmarks may replace it to observe completions directly.
@@ -105,9 +105,6 @@ type Socket struct {
 	// responses capture a standing backlog draining at line rate).
 	remoteReqs stats.Meter
 	remoteResp stats.Meter
-
-	// allDoneFn reports an empty kernel share, bound once at construction.
-	allDoneFn func()
 
 	// flushPerHome is the reusable per-flush dirty-line tally, indexed
 	// by home socket (replaces a map allocated per flush).
@@ -139,7 +136,6 @@ func NewSocket(eng *sim.Engine, cfg arch.Config, id arch.SocketID, memMap *vmm.M
 		onAllDone: onAllDone,
 		memSide:   cfg.CacheMode == arch.CacheMemSideLocal || cfg.CacheMode == arch.CacheStaticPartition,
 	}
-	s.allDoneFn = func() { s.onAllDone(s.id) }
 	s.onLoadDone = s.dispatchLoadDone
 
 	warps := cfg.SMsPerSocket * cfg.MaxWarpsPerSM
@@ -151,17 +147,18 @@ func NewSocket(eng *sim.Engine, cfg arch.Config, id arch.SocketID, memMap *vmm.M
 	s.rmPending.init(256)
 	s.flushPerHome = make([]int, cfg.Sockets)
 
-	s.txLineDoneEv = s.txLineDoneArg
-	s.l2ReqEv = s.l2Req
-	s.l2RespEv = s.l2Resp
-	s.l1FillEv = s.l1Fill
-	s.l1DoneEv = s.l1Done
-	s.dramRespEv = s.dramResp
-	s.storeEv = s.storeArrive
-	s.homeReadEv = s.homeReadDone
-	s.remoteFillEv = s.remoteFill
-	s.remoteRespEv = s.remoteResponse
-	s.drainDecEv = func(sim.Time, int) { drain.Dec() }
+	s.txLineDoneEv = eng.Bind(s.txLineDoneArg)
+	s.l2ReqEv = eng.Bind(s.l2Req)
+	s.l2RespEv = eng.Bind(s.l2Resp)
+	s.l1FillEv = eng.Bind(s.l1Fill)
+	s.l1DoneEv = eng.Bind(s.l1Done)
+	s.dramRespEv = eng.Bind(s.dramResp)
+	s.storeEv = eng.Bind(s.storeArrive)
+	s.homeReadEv = eng.Bind(s.homeReadDone)
+	s.remoteFillEv = eng.Bind(s.remoteFill)
+	s.remoteRespEv = eng.Bind(s.remoteResponse)
+	s.drainDecEv = eng.Bind(func(sim.Time, int) { drain.Dec() })
+	s.allDoneEv = eng.Bind(func(sim.Time, int) { s.onAllDone(s.id) })
 
 	for i := 0; i < cfg.SMsPerSocket; i++ {
 		s.l1s = append(s.l1s, mem.NewCache(cfg.L1Bytes, cfg.L1Assoc))
@@ -240,7 +237,7 @@ func (s *Socket) l2IsCoherent() bool {
 // ---------------------------------------------------------------------
 // smcore.MemPort implementation: the SM-facing side.
 //
-// Stage graph for a load line (each arrow is one pre-bound ArgEvent
+// Stage graph for a load line (each arrow is one bound handler
 // carrying a pool index; times are identical to the closure-based
 // datapath this replaced):
 //
@@ -533,11 +530,11 @@ func (s *Socket) storeArrive(_ sim.Time, st int) {
 // ---------------------------------------------------------------------
 
 // HomeRead services a read request that arrived from another socket for
-// a line homed here; done(now, arg) fires when the data is ready to
-// ship back. Memory-side L2 portions (modes a and b) cache the access;
+// a line homed here; handler done runs with arg when the data is ready
+// to ship back. Memory-side L2 portions (modes a and b) cache the access;
 // GPU-side L2 organizations serve hits but do not allocate for remote
 // requesters.
-func (s *Socket) HomeRead(l arch.LineID, done sim.ArgEvent, arg int) {
+func (s *Socket) HomeRead(l arch.LineID, done sim.Handler, arg int) {
 	if s.l2.Lookup(l, mem.ClassLocal) {
 		s.eng.ScheduleArg(sim.Time(s.cfg.L2Latency), done, arg)
 		return
@@ -555,12 +552,12 @@ func (s *Socket) homeReadDone(now sim.Time, idx int) {
 	h := s.homes.reqs[idx] // copied: released before the callback runs
 	s.homes.release(int32(idx))
 	s.insertL2(h.line, mem.ClassLocal, false)
-	h.done(now, h.arg)
+	s.eng.Call(h.done, h.arg)
 }
 
 // HomeWrite applies a full-line write arriving from another socket;
-// done(now, arg) fires when it is safe to ack.
-func (s *Socket) HomeWrite(l arch.LineID, done sim.ArgEvent, arg int) {
+// handler done runs with arg when it is safe to ack.
+func (s *Socket) HomeWrite(l arch.LineID, done sim.Handler, arg int) {
 	if s.memSide {
 		s.insertL2(l, mem.ClassLocal, true)
 		s.eng.ScheduleArg(sim.Time(s.cfg.L2Latency), done, arg)
@@ -574,8 +571,8 @@ func (s *Socket) HomeWrite(l arch.LineID, done sim.ArgEvent, arg int) {
 }
 
 // HomeWriteBulk drains an aggregate flush burst of n lines into DRAM;
-// done(now, arg) fires when it has drained.
-func (s *Socket) HomeWriteBulk(n int, done sim.ArgEvent, arg int) {
+// handler done runs with arg when it has drained.
+func (s *Socket) HomeWriteBulk(n int, done sim.Handler, arg int) {
 	s.dram.WriteArg(n*arch.LineSize, done, arg)
 }
 
@@ -591,7 +588,7 @@ func (s *Socket) EnqueueKernel(ctas []smcore.CTA) {
 	s.ctasLeft = len(ctas)
 	if s.ctasLeft == 0 {
 		// No work for this socket in this kernel.
-		s.eng.ScheduleThunk(1, s.allDoneFn)
+		s.eng.ScheduleArg(1, s.allDoneEv, 0)
 		return
 	}
 	for _, sm := range s.SMs {

@@ -44,35 +44,40 @@ func makeCTAs(n, warps, instrs int) []smcore.CTA {
 }
 
 // fakeRemote records remote traffic and services it with a fixed delay.
-// It schedules the caller's pre-bound continuation directly, so a
+// It schedules the caller's bound continuation directly, so a
 // remote access through it allocates nothing.
 type fakeRemote struct {
 	eng    *sim.Engine
+	noop   sim.Handler // bound by newFakeRemote
 	reads  int
 	writes int
 	bulk   int
 }
 
-func (r *fakeRemote) RemoteRead(src, home arch.SocketID, l arch.LineID, done sim.ArgEvent, arg int) {
+func newFakeRemote(eng *sim.Engine) *fakeRemote {
+	return &fakeRemote{eng: eng, noop: eng.Bind(func(sim.Time, int) {})}
+}
+
+func (r *fakeRemote) RemoteRead(src, home arch.SocketID, l arch.LineID, done sim.Handler, arg int) {
 	r.reads++
 	r.respond(done, arg)
 }
 
-func (r *fakeRemote) RemoteWrite(src, home arch.SocketID, l arch.LineID, done sim.ArgEvent, arg int) {
+func (r *fakeRemote) RemoteWrite(src, home arch.SocketID, l arch.LineID, done sim.Handler, arg int) {
 	r.writes++
 	r.respond(done, arg)
 }
 
-func (r *fakeRemote) RemoteWriteBulk(src, home arch.SocketID, n int, done sim.ArgEvent, arg int) {
+func (r *fakeRemote) RemoteWriteBulk(src, home arch.SocketID, n int, done sim.Handler, arg int) {
 	r.bulk += n
 	r.respond(done, arg)
 }
 
-// respond completes a transfer 300 cycles from now; a nil done still
+// respond completes a transfer 300 cycles from now; a zero done still
 // costs the response event.
-func (r *fakeRemote) respond(done sim.ArgEvent, arg int) {
-	if done == nil {
-		done = func(sim.Time, int) {}
+func (r *fakeRemote) respond(done sim.Handler, arg int) {
+	if done == 0 {
+		done = r.noop
 	}
 	r.eng.ScheduleArg(300, done, arg)
 }
@@ -93,7 +98,7 @@ func newHarness(t *testing.T, mode arch.CacheMode) *harness {
 	cfg.CacheMode = mode
 	eng := sim.New()
 	memMap := vmm.New(cfg.Sockets, arch.PlaceFirstTouch)
-	remote := &fakeRemote{eng: eng}
+	remote := newFakeRemote(eng)
 	drain := &Drain{}
 	link := xlink.NewLink(eng, cfg.LanesPerDir, cfg.LaneBandwidth, cfg.LinkLatency, cfg.LaneSwitchTime)
 	sock := NewSocket(eng, cfg, 0, memMap, remote, xlink.PortOf(link), drain, func(arch.SocketID) {})
@@ -384,7 +389,7 @@ func TestRemoteStoreWriteThrough(t *testing.T) {
 	cfg.L2WriteThrough = true
 	eng := sim.New()
 	memMap := vmm.New(cfg.Sockets, arch.PlaceFirstTouch)
-	remote := &fakeRemote{eng: eng}
+	remote := newFakeRemote(eng)
 	drain := &Drain{}
 	sock := NewSocket(eng, cfg, 0, memMap, remote, nil, drain, func(arch.SocketID) {})
 	l := arch.LineID(5000 * (arch.PageSize / arch.LineSize))
@@ -433,7 +438,7 @@ func TestNoL2InvalidateMode(t *testing.T) {
 	eng := sim.New()
 	memMap := vmm.New(cfg.Sockets, arch.PlaceFirstTouch)
 	drain := &Drain{}
-	sock := NewSocket(eng, cfg, 0, memMap, &fakeRemote{eng: eng}, nil, drain, func(arch.SocketID) {})
+	sock := NewSocket(eng, cfg, 0, memMap, newFakeRemote(eng), nil, drain, func(arch.SocketID) {})
 	done := 0
 	sock.onLoadDone = func(sm, slot int) { done++ }
 	l := arch.LineID(0)
@@ -511,13 +516,13 @@ func TestHomeReadServesAndCachesMemSide(t *testing.T) {
 	h := newHarness(t, arch.CacheMemSideLocal)
 	l := h.localLine(7)
 	done := 0
-	h.sock.HomeRead(l, func(sim.Time, int) { done++ }, 0)
+	h.sock.HomeRead(l, h.eng.Bind(func(sim.Time, int) { done++ }), 0)
 	h.eng.Run()
 	if done != 1 || h.sock.DRAM().Reads.Value() != 1 {
 		t.Fatal("home read must reach DRAM on cold miss")
 	}
 	// Memory-side L2 cached the remote-origin access: second read hits.
-	h.sock.HomeRead(l, func(sim.Time, int) { done++ }, 0)
+	h.sock.HomeRead(l, h.eng.Bind(func(sim.Time, int) { done++ }), 0)
 	h.eng.Run()
 	if done != 2 || h.sock.DRAM().Reads.Value() != 1 {
 		t.Fatal("memory-side L2 must cache remote-origin reads")
@@ -529,7 +534,7 @@ func TestHomeReadDoesNotPolluteCoherentL2(t *testing.T) {
 	h := newHarness(t, arch.CacheNUMAAware)
 	l := h.localLine(8)
 	done := 0
-	h.sock.HomeRead(l, func(sim.Time, int) { done++ }, 0)
+	h.sock.HomeRead(l, h.eng.Bind(func(sim.Time, int) { done++ }), 0)
 	h.eng.Run()
 	if h.sock.L2().Peek(l) {
 		t.Fatal("GPU-side coherent L2 must not allocate for remote requesters")
@@ -538,7 +543,7 @@ func TestHomeReadDoesNotPolluteCoherentL2(t *testing.T) {
 	h.load(0, l)
 	h.eng.Run()
 	reads := h.sock.DRAM().Reads.Value()
-	h.sock.HomeRead(l, func(sim.Time, int) { done++ }, 0)
+	h.sock.HomeRead(l, h.eng.Bind(func(sim.Time, int) { done++ }), 0)
 	h.eng.Run()
 	if h.sock.DRAM().Reads.Value() != reads {
 		t.Fatal("home read must hit a resident L2 line")
@@ -554,7 +559,7 @@ func TestHomeWritePaths(t *testing.T) {
 	h := newHarness(t, arch.CacheMemSideLocal)
 	l := h.localLine(9)
 	done := 0
-	h.sock.HomeWrite(l, func(sim.Time, int) { done++ }, 0)
+	h.sock.HomeWrite(l, h.eng.Bind(func(sim.Time, int) { done++ }), 0)
 	h.eng.Run()
 	if done != 1 || !h.sock.L2().Peek(l) {
 		t.Fatal("memory-side home write must allocate")
@@ -565,7 +570,7 @@ func TestHomeWritePaths(t *testing.T) {
 	// Coherent mode: absent line goes straight to DRAM.
 	h2 := newHarness(t, arch.CacheNUMAAware)
 	l2 := h2.localLine(10)
-	h2.sock.HomeWrite(l2, func(sim.Time, int) { done++ }, 0)
+	h2.sock.HomeWrite(l2, h2.eng.Bind(func(sim.Time, int) { done++ }), 0)
 	h2.eng.Run()
 	if h2.sock.DRAM().Writes.Value() != 1 {
 		t.Fatal("coherent mode home write of absent line must reach DRAM")
@@ -578,7 +583,7 @@ func TestHomeWritePaths(t *testing.T) {
 func TestHomeWriteBulk(t *testing.T) {
 	h := newHarness(t, arch.CacheMemSideLocal)
 	done := false
-	h.sock.HomeWriteBulk(10, func(sim.Time, int) { done = true }, 0)
+	h.sock.HomeWriteBulk(10, h.eng.Bind(func(sim.Time, int) { done = true }), 0)
 	h.eng.Run()
 	if !done {
 		t.Fatal("bulk write must complete")

@@ -36,14 +36,6 @@ func (c Class) String() string {
 	return "remote"
 }
 
-type line struct {
-	tag   arch.LineID
-	valid bool
-	dirty bool
-	class Class
-	used  uint64 // LRU stamp
-}
-
 // Victim describes a line evicted by an insertion or invalidation.
 type Victim struct {
 	Line  arch.LineID
@@ -55,11 +47,18 @@ type Victim struct {
 // between local and remote classes. Lookups consult all ways regardless
 // of partition (the paper's "lazy eviction" design); the partition only
 // steers victim selection on fills.
+//
+// The ways are stored as three parallel arrays, set-major: a tag array
+// probed alone (line+1, 0 for an invalid way), the LRU stamps, and a
+// flag byte (dirty, class) per way. A 16-way probe reads 128 bytes of
+// tags instead of 16 whole line records.
 type Cache struct {
 	sets      int
 	assoc     int
 	setMask   uint64
-	lines     []line // sets × assoc, set-major
+	tags      []uint64 // line+1 per way; 0 = invalid
+	used      []uint64 // LRU stamp per way
+	flags     []uint8  // flagDirty | class<<1; stale on invalid ways
 	stamp     uint64
 	ways      [numClasses]int // current partition, sums to assoc
 	partition bool            // false: classes share all ways
@@ -68,6 +67,17 @@ type Cache struct {
 	Hit   [numClasses]stats.HitRate
 	Fills [numClasses]stats.Counter
 	Evic  [numClasses]stats.Counter
+}
+
+const flagDirty = 1
+
+// wayFlags packs a valid way's dirty bit and class.
+func wayFlags(cl Class, dirty bool) uint8 {
+	f := uint8(cl) << 1
+	if dirty {
+		f |= flagDirty
+	}
+	return f
 }
 
 // NewCache builds a cache of the given total size in bytes and
@@ -89,7 +99,9 @@ func NewCache(sizeBytes, assoc int) *Cache {
 		sets:    sets,
 		assoc:   assoc,
 		setMask: uint64(sets - 1),
-		lines:   make([]line, sets*assoc),
+		tags:    make([]uint64, sets*assoc),
+		used:    make([]uint64, sets*assoc),
+		flags:   make([]uint8, sets*assoc),
 	}
 	c.ways[ClassLocal] = assoc
 	return c
@@ -141,71 +153,61 @@ func (c *Cache) ShiftWays(from, to Class) bool {
 	return true
 }
 
-func (c *Cache) set(l arch.LineID) []line {
-	idx := uint64(l) & c.setMask
-	return c.lines[idx*uint64(c.assoc) : (idx+1)*uint64(c.assoc)]
+// set returns the index of l's set's first way and l's tag.
+func (c *Cache) set(l arch.LineID) (base int, tag uint64) {
+	return int(uint64(l)&c.setMask) * c.assoc, uint64(l) + 1
+}
+
+// find returns the way holding l, or -1.
+func (c *Cache) find(l arch.LineID) int {
+	base, tag := c.set(l)
+	for i, t := range c.tags[base : base+c.assoc] {
+		if t == tag {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // Lookup probes for l, updating LRU and hit statistics. It reports
 // whether the line was present. Counted against class cl (the class the
 // requester resolved for the address).
 func (c *Cache) Lookup(l arch.LineID, cl Class) bool {
-	set := c.set(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == l {
-			c.stamp++
-			set[i].used = c.stamp
-			c.Hit[cl].Hits.Inc()
-			return true
-		}
+	if w := c.find(l); w >= 0 {
+		c.stamp++
+		c.used[w] = c.stamp
+		c.Hit[cl].Hits.Inc()
+		return true
 	}
 	c.Hit[cl].Misses.Inc()
 	return false
 }
 
 // Peek reports presence without touching LRU or statistics.
-func (c *Cache) Peek(l arch.LineID) bool {
-	set := c.set(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == l {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Peek(l arch.LineID) bool { return c.find(l) >= 0 }
 
 // MarkDirty sets the dirty bit if the line is present, reporting whether
 // it was. Used by write hits on write-back caches.
 func (c *Cache) MarkDirty(l arch.LineID) bool {
-	set := c.set(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == l {
-			set[i].dirty = true
-			c.stamp++
-			set[i].used = c.stamp
-			return true
-		}
+	w := c.find(l)
+	if w < 0 {
+		return false
 	}
-	return false
+	c.flags[w] |= flagDirty
+	c.stamp++
+	c.used[w] = c.stamp
+	return true
 }
 
 // Fill inserts line l of class cl, dirty if requested. If the line is
 // already present it refreshes LRU (and ORs the dirty bit). Otherwise a
 // victim is chosen — within cl's way group when partitioned, globally
-// by LRU when not — and returned if it held valid data.
+// when not: the group's first invalid way, else its first least
+// recently used — and returned if it held valid data. One pass over the
+// set finds both the line and the victim.
 func (c *Cache) Fill(l arch.LineID, cl Class, dirty bool) (Victim, bool) {
-	set := c.set(l)
+	base, tag := c.set(l)
 	c.stamp++
-	for i := range set {
-		if set[i].valid && set[i].tag == l {
-			set[i].used = c.stamp
-			set[i].dirty = set[i].dirty || dirty
-			set[i].class = cl
-			return Victim{}, false
-		}
-	}
-	c.Fills[cl].Inc()
-
 	lo, hi := 0, c.assoc
 	if c.partition {
 		// Class way groups: local owns ways [0, waysLocal), remote the
@@ -217,24 +219,42 @@ func (c *Cache) Fill(l arch.LineID, cl Class, dirty bool) (Victim, bool) {
 			lo = c.ways[ClassLocal]
 		}
 	}
-	victim := lo
-	for i := lo; i < hi; i++ {
-		if !set[i].valid {
-			victim = i
-			break
+	tags := c.tags[base : base+c.assoc]
+	used := c.used[base : base+c.assoc]
+	// Every valid way's stamp is below the current one, so the group's
+	// first valid way becomes the candidate, and the strict comparison
+	// keeps the first least recently used way after it.
+	victim, oldest, invalid := lo, c.stamp, false
+	for i, t := range tags {
+		if t == tag {
+			used[i] = c.stamp
+			w := base + i
+			c.flags[w] = c.flags[w]&flagDirty | wayFlags(cl, dirty)
+			return Victim{}, false
 		}
-		if set[i].used < set[victim].used {
-			victim = i
+		if invalid || i < lo || i >= hi {
+			continue
+		}
+		if t == 0 {
+			victim, invalid = i, true
+		} else if used[i] < oldest {
+			victim, oldest = i, used[i]
 		}
 	}
+	c.Fills[cl].Inc()
+
+	w := base + victim
 	var out Victim
 	had := false
-	if set[victim].valid {
-		out = Victim{Line: set[victim].tag, Dirty: set[victim].dirty, Class: set[victim].class}
+	if t := tags[victim]; t != 0 {
+		f := c.flags[w]
+		out = Victim{Line: arch.LineID(t - 1), Dirty: f&flagDirty != 0, Class: Class(f >> 1)}
 		had = true
-		c.Evic[set[victim].class].Inc()
+		c.Evic[out.Class].Inc()
 	}
-	set[victim] = line{tag: l, valid: true, dirty: dirty, class: cl, used: c.stamp}
+	tags[victim] = tag
+	used[victim] = c.stamp
+	c.flags[w] = wayFlags(cl, dirty)
 	return out, had
 }
 
@@ -243,44 +263,42 @@ func (c *Cache) Fill(l arch.LineID, cl Class, dirty bool) (Victim, bool) {
 // writebacks). A nil keep invalidates everything.
 func (c *Cache) InvalidateAll(keep func(cl Class) bool) []Victim {
 	var dirty []Victim
-	for i := range c.lines {
-		ln := &c.lines[i]
-		if !ln.valid {
+	for w, t := range c.tags {
+		if t == 0 {
 			continue
 		}
-		if keep != nil && keep(ln.class) {
+		f := c.flags[w]
+		cl := Class(f >> 1)
+		if keep != nil && keep(cl) {
 			continue
 		}
-		if ln.dirty {
-			dirty = append(dirty, Victim{Line: ln.tag, Dirty: true, Class: ln.class})
+		if f&flagDirty != 0 {
+			dirty = append(dirty, Victim{Line: arch.LineID(t - 1), Dirty: true, Class: cl})
 		}
-		ln.valid = false
-		ln.dirty = false
+		c.tags[w] = 0
 	}
 	return dirty
 }
 
 // Invalidate drops a single line if present, returning its victim info.
 func (c *Cache) Invalidate(l arch.LineID) (Victim, bool) {
-	set := c.set(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == l {
-			v := Victim{Line: set[i].tag, Dirty: set[i].dirty, Class: set[i].class}
-			set[i].valid = false
-			set[i].dirty = false
-			return v, true
-		}
+	w := c.find(l)
+	if w < 0 {
+		return Victim{}, false
 	}
-	return Victim{}, false
+	f := c.flags[w]
+	v := Victim{Line: l, Dirty: f&flagDirty != 0, Class: Class(f >> 1)}
+	c.tags[w] = 0
+	return v, true
 }
 
 // CountValid reports how many valid lines of each class are resident.
 func (c *Cache) CountValid() (local, remote int) {
-	for i := range c.lines {
-		if !c.lines[i].valid {
+	for w, t := range c.tags {
+		if t == 0 {
 			continue
 		}
-		if c.lines[i].class == ClassLocal {
+		if Class(c.flags[w]>>1) == ClassLocal {
 			local++
 		} else {
 			remote++

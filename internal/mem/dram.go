@@ -27,37 +27,23 @@ func NewDRAM(eng *sim.Engine, bandwidth float64, latency int) *DRAM {
 	return &DRAM{srv: sim.NewServer(eng, bandwidth, latency)}
 }
 
-// Read fetches size bytes; done fires when the data is available.
-func (d *DRAM) Read(size int, done sim.Event) {
-	d.Reads.Inc()
-	d.Bytes.Add(uint64(size))
-	d.srv.Transfer(size, done)
-}
-
-// ReadArg is Read for a long-lived ArgEvent callback plus an integer
-// argument — the MSHR fill path passes a pooled miss-record index
+// ReadArg fetches size bytes and runs handler h with arg when the data
+// is available — the MSHR fill path passes a pooled miss-record index
 // through arg instead of allocating a completion closure per fetch.
-func (d *DRAM) ReadArg(size int, fn sim.ArgEvent, arg int) {
+func (d *DRAM) ReadArg(size int, h sim.Handler, arg int) {
 	d.Reads.Inc()
 	d.Bytes.Add(uint64(size))
-	d.srv.TransferArg(size, fn, arg)
+	d.srv.TransferArg(size, h, arg)
 }
 
-// Write stores size bytes; done (may be nil) fires when the write has
-// drained into the memory.
-func (d *DRAM) Write(size int, done sim.Event) {
+// WriteArg stores size bytes and runs handler h with arg when the write
+// has drained into the memory; a zero h is fire-and-forget. Store
+// drains, writebacks and home-side remote writes complete through
+// bound handlers.
+func (d *DRAM) WriteArg(size int, h sim.Handler, arg int) {
 	d.Writes.Inc()
 	d.Bytes.Add(uint64(size))
-	d.srv.Transfer(size, done)
-}
-
-// WriteArg is Write for a long-lived ArgEvent callback plus an integer
-// argument: store drains, writebacks and home-side remote writes
-// complete through pre-bound continuations instead of closures.
-func (d *DRAM) WriteArg(size int, fn sim.ArgEvent, arg int) {
-	d.Writes.Inc()
-	d.Bytes.Add(uint64(size))
-	d.srv.TransferArg(size, fn, arg)
+	d.srv.TransferArg(size, h, arg)
 }
 
 // Utilization reports channel utilization over the current sampling

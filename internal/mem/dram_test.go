@@ -10,8 +10,8 @@ func TestDRAMReadWrite(t *testing.T) {
 	eng := sim.New()
 	d := NewDRAM(eng, 128, 100)
 	var readAt, writeAt sim.Time
-	d.Read(128, func(now sim.Time) { readAt = now })
-	d.Write(256, func(now sim.Time) { writeAt = now })
+	d.ReadArg(128, eng.Bind(func(now sim.Time, _ int) { readAt = now }), 0)
+	d.WriteArg(256, eng.Bind(func(now sim.Time, _ int) { writeAt = now }), 0)
 	eng.Run()
 	if readAt != 101 {
 		t.Fatalf("read at %d, want 101 (1 serialize + 100 latency)", readAt)
@@ -31,7 +31,7 @@ func TestDRAMUtilizationWindow(t *testing.T) {
 	eng := sim.New()
 	d := NewDRAM(eng, 100, 0)
 	d.ResetWindow(0)
-	d.Read(5000, nil)
+	d.ReadArg(5000, 0, 0)
 	eng.Run()
 	// 5000 bytes over 50 cycles at 100 B/c = utilization 1.0.
 	if u := d.Utilization(50); u < 0.99 || u > 1.01 {

@@ -22,19 +22,13 @@ func New(eng *sim.Engine, bandwidth float64, latency int) *Crossbar {
 	return &Crossbar{srv: sim.NewServer(eng, bandwidth, latency)}
 }
 
-// Send moves size bytes across the crossbar; done fires on delivery and
-// may be nil for traffic whose completion is tracked elsewhere.
-func (x *Crossbar) Send(size int, done sim.Event) {
+// SendArg moves size bytes across the crossbar and runs handler h with
+// arg on delivery — the datapath's pooled-continuation path (h is a
+// stage bound once per socket, arg a transaction index). A zero h is
+// traffic whose completion is tracked elsewhere.
+func (x *Crossbar) SendArg(size int, h sim.Handler, arg int) {
 	x.Bytes.Add(uint64(size))
-	x.srv.Transfer(size, done)
-}
-
-// SendArg is Send for a long-lived ArgEvent callback plus an integer
-// argument — the datapath's pooled-continuation path (fn is a stage
-// bound once per socket, arg a transaction index).
-func (x *Crossbar) SendArg(size int, fn sim.ArgEvent, arg int) {
-	x.Bytes.Add(uint64(size))
-	x.srv.TransferArg(size, fn, arg)
+	x.srv.TransferArg(size, h, arg)
 }
 
 // Utilization reports crossbar utilization over the window ending now.

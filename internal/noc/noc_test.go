@@ -10,7 +10,7 @@ func TestCrossbarDelivery(t *testing.T) {
 	eng := sim.New()
 	x := New(eng, 256, 12)
 	var at sim.Time
-	x.Send(128, func(now sim.Time) { at = now })
+	x.SendArg(128, eng.Bind(func(now sim.Time, _ int) { at = now }), 0)
 	eng.Run()
 	if at != 13 {
 		t.Fatalf("delivery at %d, want 13 (1 serialize + 12 latency)", at)
@@ -24,8 +24,9 @@ func TestCrossbarContention(t *testing.T) {
 	eng := sim.New()
 	x := New(eng, 16, 0)
 	var last sim.Time
+	h := eng.Bind(func(now sim.Time, _ int) { last = now })
 	for i := 0; i < 10; i++ {
-		x.Send(160, func(now sim.Time) { last = now })
+		x.SendArg(160, h, i)
 	}
 	eng.Run()
 	// 1600 bytes at 16 B/cycle = 100 cycles of serialization.
@@ -38,7 +39,7 @@ func TestCrossbarUtilization(t *testing.T) {
 	eng := sim.New()
 	x := New(eng, 100, 0)
 	x.ResetWindow(0)
-	x.Send(2500, nil)
+	x.SendArg(2500, 0, 0)
 	eng.Run()
 	if u := x.Utilization(50); u < 0.49 || u > 0.51 {
 		t.Fatalf("utilization %v, want 0.5", u)

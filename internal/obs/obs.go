@@ -143,9 +143,9 @@ func (c *Collector) newSeries(name string, socket int) *Series {
 }
 
 // AddSocket registers the series probe for one socket. eng must be the
-// engine the socket's events run on (its shard under sharded
-// execution) so the sampling ticker interleaves deterministically; cfg
-// is the socket's own configuration (topology overrides applied).
+// engine the socket's events run on, so the sampling ticker interleaves
+// deterministically; cfg is the socket's own configuration (topology
+// overrides applied).
 func (c *Collector) AddSocket(eng *sim.Engine, cfg arch.Config, sock *gpu.Socket) {
 	if c.nProcs <= int(sock.ID())+1 {
 		c.nProcs = int(sock.ID()) + 2 // + the runtime track
@@ -170,7 +170,7 @@ func (c *Collector) AddSocket(eng *sim.Engine, cfg arch.Config, sock *gpu.Socket
 }
 
 // AddFabric registers the per-physical-link probe. eng must be the
-// fabric's engine (the home shard under sharded execution).
+// fabric's engine.
 func (c *Collector) AddFabric(eng *sim.Engine, fab *xlink.Fabric) {
 	if !c.spec.Series || fab == nil {
 		return

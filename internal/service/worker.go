@@ -32,10 +32,6 @@ type WorkerConfig struct {
 	Poll time.Duration
 	// Mirror, when non-nil, receives per-run progress lines.
 	Mirror io.Writer
-	// EngineShards, when > 1, runs each leased simulation on a sharded
-	// engine (exp.Options.EngineShards). Results stay byte-identical,
-	// so shard counts may differ across a fabric's workers.
-	EngineShards int
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
 }
@@ -107,7 +103,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		wake:    make(chan struct{}, 1),
 		killed:  make(chan struct{}),
 	}
-	base := exp.Options{Progress: cfg.Mirror, EngineShards: cfg.EngineShards}
+	base := exp.Options{Progress: cfg.Mirror}
 	w.runners = newRunnerSet(base)
 	return w
 }

@@ -9,13 +9,18 @@ package sim
 
 import "testing"
 
+// The benchmarks schedule bound handlers, as every model component
+// on the hot path does; closures go through the side table, which
+// only tickers, lane turns and tests use.
+
 // warmup grows the event slab past the largest burst any benchmark
 // queues, so the measured loop reuses free records: the engine's hot
 // path is allocation-free only once warmed, exactly like a long
 // simulation.
 func warmup(e *Engine) {
+	h := e.Bind(func(Time, int) {})
 	for i := 0; i < 1024; i++ {
-		e.Schedule(Time(i%64)+1, func(Time) {})
+		e.ScheduleArg(Time(i%64)+1, h, 0)
 	}
 	e.Run()
 }
@@ -26,16 +31,16 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 	e := New()
 	warmup(e)
 	n := 0
-	var tick Event
-	tick = func(Time) {
+	var tick Handler
+	tick = e.Bind(func(Time, int) {
 		n++
 		if n < b.N {
-			e.Schedule(1, tick)
+			e.ScheduleArg(1, tick, 0)
 		}
-	}
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	e.Schedule(1, tick)
+	e.ScheduleArg(1, tick, 0)
 	e.Run()
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(b.N)/s, "events/sec")
@@ -45,102 +50,87 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 func BenchmarkReferenceEngineSteadyState(b *testing.B) {
 	e := NewReference()
 	n := 0
-	var tick Event
-	tick = func(Time) {
+	var tick Handler
+	tick = e.Bind(func(Time, int) {
 		n++
 		if n < b.N {
-			e.Schedule(1, tick)
+			e.ScheduleArg(1, tick, 0)
 		}
-	}
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	e.Schedule(1, tick)
+	e.ScheduleArg(1, tick, 0)
 	e.Run()
 }
 
-// BenchmarkEngineMixedDelays schedules bursts across a spread of small
-// constant delays — the cache/NoC/DRAM latency mix — and drains them.
-func BenchmarkEngineMixedDelays(b *testing.B) {
-	e := New()
+// benchBursts queues bursts of at most burst events, the i-th of each
+// at delays[i&(len(delays)-1)] (len(delays) is a power of two), and
+// drains each burst before the next.
+func benchBursts(b *testing.B, e *Engine, burst int, delays []Time) {
 	warmup(e)
-	delays := [8]Time{1, 12, 28, 64, 96, 100, 128, 200}
-	fn := Event(func(Time) {})
+	h := e.Bind(func(Time, int) {})
+	mask := len(delays) - 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; {
-		burst := 512
-		if b.N-done < burst {
-			burst = b.N - done
+		n := burst
+		if b.N-done < n {
+			n = b.N - done
 		}
-		for i := 0; i < burst; i++ {
-			e.Schedule(delays[i&7], fn)
+		for i := 0; i < n; i++ {
+			e.ScheduleArg(delays[i&mask], h, i)
 		}
 		e.Run()
-		done += burst
+		done += n
 	}
 }
 
-func BenchmarkReferenceEngineMixedDelays(b *testing.B) {
-	e := NewReference()
-	delays := [8]Time{1, 12, 28, 64, 96, 100, 128, 200}
-	fn := Event(func(Time) {})
+// benchRefBursts is benchBursts on the reference engine.
+func benchRefBursts(b *testing.B, e *ReferenceEngine, burst int, delays []Time) {
+	h := e.Bind(func(Time, int) {})
+	mask := len(delays) - 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; {
-		burst := 512
-		if b.N-done < burst {
-			burst = b.N - done
+		n := burst
+		if b.N-done < n {
+			n = b.N - done
 		}
-		for i := 0; i < burst; i++ {
-			e.Schedule(delays[i&7], fn)
+		for i := 0; i < n; i++ {
+			e.ScheduleArg(delays[i&mask], h, i)
 		}
 		e.Run()
-		done += burst
+		done += n
 	}
+}
+
+// delaySpan returns n consecutive delays starting at lo.
+func delaySpan(lo Time, n int) []Time {
+	d := make([]Time, n)
+	for i := range d {
+		d[i] = lo + Time(i)
+	}
+	return d
+}
+
+// mixedDelays is the cache/NoC/DRAM latency mix.
+var mixedDelays = []Time{1, 12, 28, 64, 96, 100, 128, 200}
+
+// BenchmarkEngineMixedDelays schedules bursts across a spread of small
+// constant delays — the cache/NoC/DRAM latency mix — and drains them.
+func BenchmarkEngineMixedDelays(b *testing.B) { benchBursts(b, New(), 512, mixedDelays) }
+
+func BenchmarkReferenceEngineMixedDelays(b *testing.B) {
+	benchRefBursts(b, NewReference(), 512, mixedDelays)
 }
 
 // BenchmarkEngineSameCycleFIFO measures the zero-delay FIFO path: many
 // events piling onto the current cycle (warp wakeups, MSHR fanout).
-func BenchmarkEngineSameCycleFIFO(b *testing.B) {
-	e := New()
-	warmup(e)
-	fn := Event(func(Time) {})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		burst := 256
-		if b.N-done < burst {
-			burst = b.N - done
-		}
-		for i := 0; i < burst; i++ {
-			e.Schedule(0, fn)
-		}
-		e.Run()
-		done += burst
-	}
-}
+func BenchmarkEngineSameCycleFIFO(b *testing.B) { benchBursts(b, New(), 256, []Time{0}) }
 
 // BenchmarkEngineScheduleArg measures the pooled typed-event path used
-// by the SM warp wakeups: one long-lived ArgEvent, varying arg.
-func BenchmarkEngineScheduleArg(b *testing.B) {
-	e := New()
-	warmup(e)
-	sink := 0
-	fn := ArgEvent(func(_ Time, arg int) { sink += arg })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		burst := 256
-		if b.N-done < burst {
-			burst = b.N - done
-		}
-		for i := 0; i < burst; i++ {
-			e.ScheduleArg(Time(i&31)+1, fn, i&63)
-		}
-		e.Run()
-		done += burst
-	}
-}
+// by the SM warp wakeups: one bound handler, varying arg.
+func BenchmarkEngineScheduleArg(b *testing.B) { benchBursts(b, New(), 256, delaySpan(1, 32)) }
 
 // backlogDelays follows the delays the model schedules beyond 1,024
 // cycles: bandwidth servers booking completions behind deep backlogs.
@@ -173,56 +163,44 @@ func BenchmarkEngineBacklog(b *testing.B) {
 	e := New()
 	warmup(e)
 	n, k := 0, 0
-	var fn Event
-	fn = func(Time) {
+	var h Handler
+	h = e.Bind(func(Time, int) {
 		if n < b.N {
-			e.Schedule(backlogDelays[k&63], fn)
+			e.ScheduleArg(backlogDelays[k&63], h, 0)
 			n++
 			k += 7 // co-prime with 64: cycle through the mix
 		}
-	}
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < 256 && n < b.N; i++ {
-		fn(0)
+		e.Call(h, 0)
 	}
 	e.Run()
 }
 
 // BenchmarkEngineFarFuture measures the overflow-heap path: every delay
-// beyond the ring window (events more than 65,536 cycles ahead).
+// beyond the ring window (events more than 65,536 cycles ahead). Its
+// slab is not warmed, as before.
 func BenchmarkEngineFarFuture(b *testing.B) {
 	e := New()
-	fn := Event(func(Time) {})
+	h := e.Bind(func(Time, int) {})
+	far := delaySpan(ringSize, 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; {
-		burst := 256
-		if b.N-done < burst {
-			burst = b.N - done
+		n := 256
+		if b.N-done < n {
+			n = b.N - done
 		}
-		for i := 0; i < burst; i++ {
-			e.Schedule(ringSize+Time(i&1023), fn)
+		for i := 0; i < n; i++ {
+			e.ScheduleArg(far[i&1023], h, i)
 		}
 		e.Run()
-		done += burst
+		done += n
 	}
 }
 
 func BenchmarkReferenceEngineFarFuture(b *testing.B) {
-	e := NewReference()
-	fn := Event(func(Time) {})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		burst := 256
-		if b.N-done < burst {
-			burst = b.N - done
-		}
-		for i := 0; i < burst; i++ {
-			e.Schedule(ringSize+Time(i&1023), fn)
-		}
-		e.Run()
-		done += burst
-	}
+	benchRefBursts(b, NewReference(), 256, delaySpan(ringSize, 1024))
 }

@@ -5,15 +5,19 @@
 // one engine; the simulation is single-threaded, which makes runs exactly
 // reproducible.
 //
-// Internally the engine is a calendar queue over one slab of event
-// records. A ring of 2^16 per-cycle FIFO lists, linked through the slab
-// by index, holds every event due in the next 65,536 cycles; an
-// occupancy bitmap finds the next non-empty cycle in a few word
-// operations; and a binary heap of slab indices holds the rare event
-// beyond the ring (see the scheduling invariant on Engine). Records
-// never move once written, and the lists and the heap hold only
-// integers, so queueing an event costs one record write and no copying
-// of callbacks.
+// Components bind each long-lived callback once (Bind returns a small
+// integer Handler) and schedule it with an integer argument, so an
+// event is a 16-byte, pointer-free record: argument, handler and list
+// link. The records sit in one slab. A ring of 2^16 per-cycle FIFO
+// lists, linked through the slab by index, holds every event due in
+// the next 65,536 cycles; an occupancy bitmap finds the next non-empty
+// cycle in a few word operations; and a binary heap of (time, seq,
+// index) entries holds the rare event beyond the ring (see the
+// scheduling invariant on Engine). Nothing the queue touches holds a
+// pointer, so queueing and running an event costs the garbage
+// collector nothing. Plain Event closures, used off the hot path, wait
+// in a small side table and reach the queue through one reserved
+// handler.
 package sim
 
 import "math/bits"
@@ -27,10 +31,18 @@ type Time uint64
 type Event func(now Time)
 
 // ArgEvent is an event callback carrying a small integer argument.
-// Hot paths that wake per-slot state machines (e.g. warp slots in
-// smcore) schedule one long-lived ArgEvent function value with varying
-// arguments instead of allocating a fresh closure per event.
+// Components bind one long-lived ArgEvent per pipeline stage with
+// Engine.Bind and schedule it with varying arguments (a warp slot, a
+// pooled record index) instead of allocating a closure per event.
 type ArgEvent func(now Time, arg int)
+
+// Handler names an ArgEvent bound to one Engine with Bind. The zero
+// Handler names nothing: components use it for an absent continuation,
+// and the engine never binds it.
+type Handler uint32
+
+// sideHandler is the reserved handler that runs a side-table Event.
+const sideHandler Handler = 1
 
 // ringBits sizes the ring: 2^ringBits consecutive cycles have their own
 // FIFO list. The width comes from the model's delay histogram, not from
@@ -49,21 +61,30 @@ const (
 	sumWords = occWords / 64 // level-1 words, one bit per level-0 word
 )
 
-// record is one slab entry: a queued event and the index of the next
-// record in its cycle's FIFO list (or, once executed, in the free list).
-// Index 0 is the nil link, so slab[0] is never used. Exactly one of fn,
-// tfn, afn is set; the three variants exist so call sites can schedule
-// what they already hold (an Event, a plain completion func(), or a
-// shared ArgEvent plus argument) without wrapping it in a fresh
-// closure. A free record has all three nil, so queueing an event writes
-// one callback reference and executing it clears that one again.
+// record is one slab entry: a queued event's handler and argument and
+// the index of the next record in its cycle's FIFO list (or, once
+// executed, in the free list). Index 0 is the nil link, so slab[0] is
+// never used. 16 bytes and no pointers: four records share a host
+// cache line, and the garbage collector never scans the slab.
 type record struct {
-	at   Time
-	seq  uint64
-	fn   Event
-	tfn  func()
-	afn  ArgEvent
 	arg  int
+	h    Handler
+	next int32
+}
+
+// farEntry is one far-heap entry: an event at or beyond the ring
+// window, ordered by (at, seq). seq counts far inserts only; within
+// the window a list's order is its insertion order already.
+type farEntry struct {
+	at  Time
+	seq uint64
+	i   int32 // slab index of the event's record
+}
+
+// callback is one side-table entry: a queued Event closure, or, once
+// run, a link in the table's free list.
+type callback struct {
+	fn   Event
 	next int32
 }
 
@@ -83,7 +104,7 @@ type cycleList struct {
 // always before any event of the new cycle executes. An event reaches a
 // cycle's list directly only while that cycle is inside the window, and
 // a far event for the same cycle was scheduled while it was outside,
-// hence earlier; so list order is seq order and the global
+// hence earlier; so every list is in insertion order and the global
 // (time, insertion-order) contract holds exactly.
 //
 // An Engine may keep running across multiple scheduling waves: after
@@ -95,22 +116,17 @@ type cycleList struct {
 type Engine struct {
 	// The pointer-bearing fields come first, so the garbage collector
 	// never scans the integer-only ring below them.
-	slab []record // every queued event; executed records join the free list
-	far  []int32  // min-heap of slab indices beyond the ring, by (at, seq)
+	slab     []record   // every queued event; executed records join the free list
+	far      []farEntry // min-heap of the events beyond the ring
+	handlers []ArgEvent // bound callbacks: [0] is nil, [sideHandler] runs side
+	side     []callback // queued Event closures; side[0] is the nil link
 
-	// seqp, when non-nil, is a stamp counter shared with other engines:
-	// every insert takes its seq from *seqp instead of the local counter.
-	// The ParallelEngine's lockstep mode points all shards at one counter
-	// so the shard-spanning (time, seq) order is exactly the insertion
-	// order a single serial engine would have produced. e.seq still
-	// increments per insert and doubles as a local change counter.
-	seqp *uint64
-
-	now   Time
-	seq   uint64
-	nRun  uint64
-	ringN int   // events currently linked into the ring
-	free  int32 // head of the free-record list
+	now      Time
+	seq      uint64 // far inserts so far
+	nRun     uint64
+	ringN    int   // events currently linked into the ring
+	free     int32 // head of the free-record list
+	sideFree int32 // head of the side table's free list
 
 	// occ has bit c set exactly when ring cycle c has an event; sum has
 	// bit w set exactly when occ[w] is non-zero.
@@ -132,30 +148,41 @@ func (e *Engine) Executed() uint64 { return e.nRun }
 // Pending reports how many events are waiting to run.
 func (e *Engine) Pending() int { return e.ringN + len(e.far) }
 
-// insert queues a record at absolute time at (which must be >= e.now)
-// and returns it for the caller to set its callback. The pointer is
-// valid until the next insert, which may grow the slab.
-func (e *Engine) insert(at Time) *record {
-	e.seq++
-	seq := e.seq
-	if e.seqp != nil {
-		*e.seqp++
-		seq = *e.seqp
+// Bind registers fn for the lifetime of the engine and returns the
+// handler that schedules it. Components bind each stage callback once
+// at construction; bindings survive Reset.
+func (e *Engine) Bind(fn ArgEvent) Handler {
+	if fn == nil {
+		panic("sim: Bind of a nil ArgEvent")
 	}
+	if e.handlers == nil {
+		e.handlers = []ArgEvent{nil, e.runSide}
+	}
+	e.handlers = append(e.handlers, fn)
+	return Handler(len(e.handlers) - 1)
+}
+
+// Call runs handler h with arg at the current time, inline, without
+// queueing an event: for a component that completes a caller's
+// continuation synchronously.
+func (e *Engine) Call(h Handler, arg int) { e.handlers[h](e.now, arg) }
+
+// insert queues handler h with arg at absolute time at (which must be
+// >= e.now).
+func (e *Engine) insert(at Time, h Handler, arg int) {
 	i := e.free
 	if i != 0 {
 		e.free = e.slab[i].next
 	} else {
 		i = e.grow()
 	}
-	r := &e.slab[i]
-	r.at, r.seq, r.next = at, seq, 0
+	e.slab[i] = record{arg: arg, h: h}
 	if at < e.now+ringSize {
 		e.link(i, uint32(at)&ringMask)
 	} else {
-		e.farPush(i)
+		e.seq++
+		e.farPush(farEntry{at: at, seq: e.seq, i: i})
 	}
-	return r
 }
 
 // grow appends a fresh record to the slab and returns its index.
@@ -181,55 +208,67 @@ func (e *Engine) link(i int32, c uint32) {
 	e.ringN++
 }
 
-// Schedule runs fn after delay cycles. A delay of zero runs fn later in
-// the current cycle, after all previously scheduled events for this cycle.
+// ScheduleArg runs handler h with arg after delay cycles. A delay of
+// zero runs it later in the current cycle, after all previously
+// scheduled events for this cycle.
+func (e *Engine) ScheduleArg(delay Time, h Handler, arg int) {
+	e.insert(e.now+delay, h, arg)
+}
+
+// AtArg runs handler h with arg at absolute time at. If at is in the
+// past it runs at the current time (never before: virtual time is
+// monotonic). Bandwidth servers use it to queue a pooled continuation
+// at a transfer's completion time.
+func (e *Engine) AtArg(at Time, h Handler, arg int) {
+	if at < e.now {
+		at = e.now
+	}
+	e.insert(at, h, arg)
+}
+
+// Schedule runs fn after delay cycles, through the side table: for
+// recurring or one-off callbacks off the hot path (tickers, lane
+// turns, tests) that are not worth a binding of their own.
 func (e *Engine) Schedule(delay Time, fn Event) {
-	e.insert(e.now + delay).fn = fn
+	e.queueSide(e.now+delay, fn)
 }
 
-// ScheduleThunk is Schedule for a callback that ignores the clock:
-// completion notifications that already close over their state can be
-// queued directly instead of being wrapped in a func(Time) adapter.
-func (e *Engine) ScheduleThunk(delay Time, fn func()) {
-	e.insert(e.now + delay).tfn = fn
-}
-
-// ScheduleArg runs fn(now, arg) after delay cycles. fn is typically a
-// single function value stored for the lifetime of a component, with
-// arg selecting the slot/lane/index to act on — the allocation-free
-// alternative to a per-event closure.
-func (e *Engine) ScheduleArg(delay Time, fn ArgEvent, arg int) {
-	r := e.insert(e.now + delay)
-	r.afn, r.arg = fn, arg
-}
-
-// At runs fn at absolute time at. If at is in the past it runs at the
-// current time (never before: virtual time is monotonic).
+// At runs fn at absolute time at, clamped to the present; see Schedule.
 func (e *Engine) At(at Time, fn Event) {
 	if at < e.now {
 		at = e.now
 	}
-	e.insert(at).fn = fn
+	e.queueSide(at, fn)
 }
 
-// AtThunk is At for a clock-ignoring callback; see ScheduleThunk.
-func (e *Engine) AtThunk(at Time, fn func()) {
-	if at < e.now {
-		at = e.now
+// queueSide parks fn in the side table and queues the side handler
+// with its index at time at.
+func (e *Engine) queueSide(at Time, fn Event) {
+	if e.handlers == nil {
+		e.handlers = []ArgEvent{nil, e.runSide}
 	}
-	e.insert(at).tfn = fn
+	i := e.sideFree
+	if i != 0 {
+		e.sideFree = e.side[i].next
+	} else {
+		if len(e.side) == 0 {
+			e.side = make([]callback, 1, 16) // side[0] is the nil link
+		}
+		e.side = append(e.side, callback{})
+		i = int32(len(e.side) - 1)
+	}
+	e.side[i].fn = fn
+	e.insert(at, sideHandler, int(i))
 }
 
-// AtArg runs fn(now, arg) at absolute time at (clamped to the present);
-// the At counterpart of ScheduleArg. Bandwidth servers use it to queue
-// pooled continuations at a transfer's completion time without wrapping
-// them in a closure.
-func (e *Engine) AtArg(at Time, fn ArgEvent, arg int) {
-	if at < e.now {
-		at = e.now
-	}
-	r := e.insert(at)
-	r.afn, r.arg = fn, arg
+// runSide is the side handler: it frees side-table entry i, then runs
+// the Event it held.
+func (e *Engine) runSide(now Time, i int) {
+	c := &e.side[i]
+	fn := c.fn
+	*c = callback{next: e.sideFree}
+	e.sideFree = int32(i)
+	fn(now)
 }
 
 // setNow advances the clock to t and restores the scheduling invariant:
@@ -240,9 +279,9 @@ func (e *Engine) AtArg(at Time, fn ArgEvent, arg int) {
 func (e *Engine) setNow(t Time) {
 	e.now = t
 	horizon := t + ringSize
-	for len(e.far) > 0 && e.slab[e.far[0]].at < horizon {
-		i := e.farPop()
-		e.link(i, uint32(e.slab[i].at)&ringMask)
+	for len(e.far) > 0 && e.far[0].at < horizon {
+		f := e.farPop()
+		e.link(f.i, uint32(f.at)&ringMask)
 	}
 }
 
@@ -264,7 +303,7 @@ func (e *Engine) peek() (Time, bool) {
 		return e.now + e.nextBusy(), true
 	}
 	if len(e.far) > 0 {
-		return e.slab[e.far[0]].at, true
+		return e.far[0].at, true
 	}
 	return 0, false
 }
@@ -301,23 +340,6 @@ func (e *Engine) nextBusy() Time {
 	return Time((busy - c) & ringMask)
 }
 
-// peekHead reports the (time, seq) stamp of the next queued event
-// without running it. The ParallelEngine's lockstep executor compares
-// shard heads by this stamp to pick the globally next event; within a
-// ring list FIFO order is seq order (see the Engine invariant), so the
-// head of the first non-empty cycle carries the shard's minimum.
-func (e *Engine) peekHead() (Time, uint64, bool) {
-	if e.ringN > 0 {
-		t := e.now + e.nextBusy()
-		return t, e.slab[e.ring[uint32(t)&ringMask].head].seq, true
-	}
-	if len(e.far) > 0 {
-		r := &e.slab[e.far[0]]
-		return r.at, r.seq, true
-	}
-	return 0, 0, false
-}
-
 // Step executes the single next event and reports whether one existed.
 func (e *Engine) Step() bool {
 	c := uint32(e.now) & ringMask
@@ -329,7 +351,7 @@ func (e *Engine) Step() bool {
 	}
 	l := &e.ring[c]
 	i := l.head
-	r := &e.slab[i]
+	r := e.slab[i]
 	if l.head = r.next; l.head == 0 {
 		l.tail = 0
 		w := c >> 6
@@ -337,26 +359,12 @@ func (e *Engine) Step() bool {
 			e.sum[w>>6] &^= 1 << (w & 63)
 		}
 	}
-	r.next = e.free
+	// Free the record before the call, which may queue into it.
+	e.slab[i].next = e.free
 	e.free = i
 	e.ringN--
 	e.nRun++
-	// Clear the callback before calling it (the record is already free,
-	// and the call may reuse it or grow the slab).
-	switch {
-	case r.afn != nil:
-		fn, arg := r.afn, r.arg
-		r.afn = nil
-		fn(e.now, arg)
-	case r.fn != nil:
-		fn := r.fn
-		r.fn = nil
-		fn(e.now)
-	default:
-		fn := r.tfn
-		r.tfn = nil
-		fn()
-	}
+	e.handlers[r.h](e.now, r.arg)
 	return true
 }
 
@@ -393,35 +401,33 @@ func (e *Engine) RunUntil(deadline Time) bool {
 // events, counters cleared. Use it before reusing an Engine for a fresh
 // simulation — any events still queued (after a RunUntil stop, a
 // stopped Ticker, or an abandoned run) are discarded rather than leaking
-// into the next run. The slab is released along with the event
-// callbacks it references.
+// into the next run, and the side table releases the closures they
+// held. Handlers bound with Bind stay bound.
 func (e *Engine) Reset() {
-	e.slab, e.far = nil, nil
-	e.now, e.seq, e.nRun, e.ringN, e.free = 0, 0, 0, 0, 0
+	e.slab, e.far, e.side = nil, nil, nil
+	e.now, e.seq, e.nRun, e.ringN, e.free, e.sideFree = 0, 0, 0, 0, 0, 0
 	e.occ = [occWords]uint64{}
 	e.sum = [sumWords]uint64{}
 	e.ring = [ringSize]cycleList{}
 }
 
-// The far heap: a binary min-heap of slab indices ordered by the
-// records' (time, seq). It holds integers only, so sifting moves no
-// callback references.
+// The far heap: a binary min-heap of (time, seq, slab index) entries.
+// It holds integers only, so sifting moves no pointers.
 
-func (e *Engine) farLess(a, b int32) bool {
-	x, y := &e.slab[a], &e.slab[b]
-	if x.at != y.at {
-		return x.at < y.at
+func (a farEntry) less(b farEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return x.seq < y.seq
+	return a.seq < b.seq
 }
 
-func (e *Engine) farPush(i int32) {
-	e.far = append(e.far, i)
+func (e *Engine) farPush(f farEntry) {
+	e.far = append(e.far, f)
 	h := e.far
 	k := len(h) - 1
 	for k > 0 {
 		parent := (k - 1) / 2
-		if !e.farLess(h[k], h[parent]) {
+		if !h[k].less(h[parent]) {
 			break
 		}
 		h[k], h[parent] = h[parent], h[k]
@@ -429,7 +435,7 @@ func (e *Engine) farPush(i int32) {
 	}
 }
 
-func (e *Engine) farPop() int32 {
+func (e *Engine) farPop() farEntry {
 	h := e.far
 	top := h[0]
 	n := len(h) - 1
@@ -440,10 +446,10 @@ func (e *Engine) farPop() int32 {
 	for {
 		l, r := 2*k+1, 2*k+2
 		smallest := k
-		if l < n && e.farLess(h[l], h[smallest]) {
+		if l < n && h[l].less(h[smallest]) {
 			smallest = l
 		}
-		if r < n && e.farLess(h[r], h[smallest]) {
+		if r < n && h[r].less(h[smallest]) {
 			smallest = r
 		}
 		if smallest == k {

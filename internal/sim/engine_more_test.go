@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // TestPendingExecutedAccounting pins the bookkeeping across both levels
@@ -63,16 +65,18 @@ func TestRingBoundaryDelays(t *testing.T) {
 }
 
 // TestSameCycleFIFOAcrossVariants pins FIFO order within one cycle when
-// the three scheduling variants interleave.
+// the scheduling variants interleave: side-table closures and a bound
+// handler, by delay and by absolute time.
 func TestSameCycleFIFOAcrossVariants(t *testing.T) {
 	e := New()
 	var order []int
 	rec := func(i int) func(Time) { return func(Time) { order = append(order, i) } }
+	h := e.Bind(func(_ Time, arg int) { order = append(order, arg) })
 	e.Schedule(7, rec(0))
-	e.ScheduleThunk(7, func() { order = append(order, 1) })
-	e.ScheduleArg(7, func(_ Time, arg int) { order = append(order, arg) }, 2)
-	e.At(7, rec(3))
-	e.AtThunk(7, func() { order = append(order, 4) })
+	e.ScheduleArg(7, h, 1)
+	e.At(7, rec(2))
+	e.AtArg(7, h, 3)
+	e.Schedule(7, rec(4))
 	e.Run()
 	for i, v := range order {
 		if v != i {
@@ -256,7 +260,7 @@ func TestTickerMinimumPeriod(t *testing.T) {
 func TestAtArg(t *testing.T) {
 	e := New()
 	var got []int
-	rec := func(_ Time, arg int) { got = append(got, arg) }
+	rec := e.Bind(func(_ Time, arg int) { got = append(got, arg) })
 	e.AtArg(10, rec, 1)
 	e.At(10, func(Time) { got = append(got, 2) })
 	e.AtArg(10, rec, 3)
@@ -340,5 +344,101 @@ func TestOccupancyScanAcrossWordsAndWrap(t *testing.T) {
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("%d events left", e.Pending())
+	}
+}
+
+// TestBoundAndSideEventsInterleaveInOneCycle queues bound handlers and
+// side-table closures for one cycle in alternation; each one, when it
+// runs, queues a zero-delay event of the other kind. Everything must
+// run in insertion order, exactly as on the reference engine.
+func TestBoundAndSideEventsInterleaveInOneCycle(t *testing.T) {
+	run := func(e schedulerAPI) []int {
+		var order []int
+		var h Handler
+		side := func(i int) Event {
+			return func(Time) {
+				order = append(order, i)
+				if i < 100 {
+					e.ScheduleArg(0, h, i+100)
+				}
+			}
+		}
+		h = e.Bind(func(_ Time, arg int) {
+			order = append(order, arg)
+			if arg < 100 {
+				e.Schedule(0, side(arg+100))
+			}
+		})
+		for i := 0; i < 6; i++ {
+			if i%2 == 0 {
+				e.At(7, side(i))
+			} else {
+				e.AtArg(7, h, i)
+			}
+		}
+		e.Run()
+		if e.Now() != 7 {
+			t.Fatalf("clock %d, want 7: every event belongs to cycle 7", e.Now())
+		}
+		return order
+	}
+	got, ref := run(New()), run(NewReference())
+	want := []int{0, 1, 2, 3, 4, 5, 100, 101, 102, 103, 104, 105}
+	if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(ref) != fmt.Sprint(want) {
+		t.Fatalf("order %v (reference %v), want %v", got, ref, want)
+	}
+}
+
+// TestResetDiscardsSideTableCallbacks pins that Reset drops the
+// closures of queued side-table events along with the events, so none
+// runs and none stays reachable, while bound handlers stay bound.
+func TestResetDiscardsSideTableCallbacks(t *testing.T) {
+	e := New()
+	ran := 0
+	h := e.Bind(func(Time, int) { ran++ })
+	for i := 0; i < 10; i++ {
+		e.Schedule(Time(i)+3, func(Time) { t.Fatal("a discarded closure ran") })
+		e.ScheduleArg(Time(i), h, i)
+	}
+	e.Schedule(3*ringSize, func(Time) { t.Fatal("a discarded far closure ran") })
+	e.RunUntil(2) // runs the handler's first three events only
+	if ran != 3 {
+		t.Fatalf("bound handler ran %d times before the stop, want 3", ran)
+	}
+	e.Reset()
+	if len(e.side) != 0 || e.sideFree != 0 {
+		t.Fatalf("Reset kept %d side-table entries (free head %d)", len(e.side), e.sideFree)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Reset left %d events", e.Pending())
+	}
+	e.ScheduleArg(4, h, 0)
+	var at Time
+	e.Schedule(5, func(now Time) { at = now })
+	e.Run()
+	if ran != 4 || at != 5 {
+		t.Fatalf("after Reset: bound handler ran %d times (want 4), closure at %d (want 5)", ran, at)
+	}
+}
+
+// TestQueueEntriesArePointerFree pins the property the queue layout is
+// built on: a slab record and a far-heap entry hold no pointer, so the
+// garbage collector never scans them and moving them needs no write
+// barrier, and a record stays 16 bytes.
+func TestQueueEntriesArePointerFree(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeOf(record{}), reflect.TypeOf(farEntry{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch f.Type.Kind() {
+			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+				reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+				reflect.Float32, reflect.Float64, reflect.Bool:
+			default:
+				t.Errorf("%s.%s is a %s: queue entries must hold integers only", typ.Name(), f.Name, f.Type.Kind())
+			}
+		}
+	}
+	if n := unsafe.Sizeof(record{}); n != 16 {
+		t.Errorf("record is %d bytes, want 16", n)
 	}
 }

@@ -12,12 +12,12 @@ type schedulerAPI interface {
 	Now() Time
 	Executed() uint64
 	Pending() int
+	Bind(ArgEvent) Handler
+	Call(Handler, int)
 	Schedule(Time, Event)
-	ScheduleThunk(Time, func())
-	ScheduleArg(Time, ArgEvent, int)
+	ScheduleArg(Time, Handler, int)
 	At(Time, Event)
-	AtThunk(Time, func())
-	AtArg(Time, ArgEvent, int)
+	AtArg(Time, Handler, int)
 	Step() bool
 	Run() Time
 	RunUntil(Time) bool
@@ -45,14 +45,26 @@ type traceEntry struct {
 // of the ring's layout: delays that cross an occupancy-index word (64
 // cycles) or summary word (4,096 cycles) boundary from wherever the
 // clock sits inside the word, delays that wrap the ring round past the
-// clock's own cycle, and events more than one ring ahead.
+// clock's own cycle, and events more than one ring ahead. Events go
+// through both queue paths, interleaved: plain closures (the side
+// table) and one bound handler carrying the op's id as its argument.
 type opInterp struct {
 	eng    schedulerAPI
+	argH   Handler // bound once: records its arg and runs the next op
 	ops    []byte
 	pc     int
 	nextID int
 	trace  []traceEntry
 	flags  [4]bool // cancellation flags toggled by the program
+}
+
+func newInterp(eng schedulerAPI, ops []byte) *opInterp {
+	in := &opInterp{eng: eng, ops: ops}
+	in.argH = eng.Bind(func(now Time, arg int) {
+		in.trace = append(in.trace, traceEntry{id: arg, at: now})
+		in.exec()
+	})
+	return in
 }
 
 func (in *opInterp) next() (byte, bool) {
@@ -90,18 +102,12 @@ func (in *opInterp) exec() bool {
 	case 4: // absolute time, sometimes in the past (clamps to now)
 		at := Time(val) * 7
 		in.eng.At(at, record)
-	case 5: // thunk variant (no clock argument)
-		in.eng.ScheduleThunk(Time(val%100), func() { record(in.eng.Now()) })
-	case 6: // arg variant
-		in.eng.ScheduleArg(Time(val%100), func(now Time, arg int) {
-			in.trace = append(in.trace, traceEntry{id: arg, at: now})
-			in.exec()
-		}, id)
-	case 7: // absolute-time arg variant, sometimes clamped to the past
-		in.eng.AtArg(Time(val)*7, func(now Time, arg int) {
-			in.trace = append(in.trace, traceEntry{id: arg, at: now})
-			in.exec()
-		}, id)
+	case 5: // bound handler, this cycle or an early one: interleaves with side events
+		in.eng.ScheduleArg(Time(val%4), in.argH, id)
+	case 6: // bound handler
+		in.eng.ScheduleArg(Time(val%100), in.argH, id)
+	case 7: // bound handler at an absolute time, sometimes clamped to the past
+		in.eng.AtArg(Time(val)*7, in.argH, id)
 	case 8: // cancellable event: fires, but a flag decides if it acts
 		f := int(val) % len(in.flags)
 		if val%2 == 0 {
@@ -135,7 +141,7 @@ func (in *opInterp) exec() bool {
 // the engine in RunUntil slices to exercise deadline stops, returning
 // the execution trace and final state.
 func runProgram(eng schedulerAPI, ops []byte) ([]traceEntry, Time, uint64, int) {
-	in := &opInterp{eng: eng, ops: ops}
+	in := newInterp(eng, ops)
 	for i := 0; i < 8 && in.exec(); i++ {
 	}
 	// Drain in uneven deadline slices so RunUntil's clock-parking path
@@ -247,6 +253,12 @@ func TestEquivalenceKnownHardCases(t *testing.T) {
 		"heap-only-park": {2, 0, 11, 255, 2, 255, 11, 0, 2, 77, 11, 128},
 		// A far event and a wrapped ring event for neighbouring cycles.
 		"far-and-wrap": {0, 10, 10, 0, 2, 0, 10, 9, 11, 3, 9, 4},
+		// Bound handlers and side-table closures queued for one cycle,
+		// in alternation, each scheduling more of the other kind.
+		"bound-and-side-one-cycle": {1, 0, 5, 0, 1, 0, 5, 4, 4, 0, 7, 0, 1, 0, 5, 8, 8, 2},
+		// Far events of both kinds for one cycle, then a bound ring
+		// insert for the same cycle once it has entered the window.
+		"far-then-ring-bound": {2, 0, 7, 0, 2, 0, 5, 0, 0, 3, 6, 0},
 	}
 	for name, ops := range cases {
 		t.Run(name, func(t *testing.T) { checkEquivalence(t, ops) })
@@ -257,20 +269,26 @@ func TestEquivalenceKnownHardCases(t *testing.T) {
 // an event scheduled long in advance (via the far heap) and an event
 // scheduled later but directly into the ring for the same cycle must
 // run in insertion order — the heap migration may not reorder them.
+// Both queue paths take part: a far bound handler and a far closure,
+// then a closure and a bound handler inserted into the ring once the
+// cycle is inside the window.
 func TestMigrationPreservesInsertionOrder(t *testing.T) {
 	e := New()
 	var got []string
+	h := e.Bind(func(_ Time, arg int) { got = append(got, fmt.Sprint("bound-", arg)) })
 	const target = ringSize + 500
-	e.Schedule(target, func(Time) { got = append(got, "far-first") }) // heap
+	e.AtArg(target, h, 1)                                               // heap
+	e.Schedule(target, func(Time) { got = append(got, "far-closure") }) // heap
 	e.Schedule(600, func(Time) {
-		// now = 600; target is now inside [600, 600+ringSize) — this
-		// insert goes straight into the ring list the far event
-		// migrates into.
-		e.At(target, func(Time) { got = append(got, "ring-second") })
+		// now = 600; target is now inside [600, 600+ringSize) — these
+		// inserts go straight into the ring list the far events
+		// migrate into.
+		e.At(target, func(Time) { got = append(got, "ring-closure") })
+		e.AtArg(target, h, 2)
 	})
 	e.Run()
-	if fmt.Sprint(got) != "[far-first ring-second]" {
-		t.Fatalf("migration broke insertion order: %v", got)
+	if want := "[bound-1 far-closure ring-closure bound-2]"; fmt.Sprint(got) != want {
+		t.Fatalf("migration broke insertion order: %v, want %v", got, want)
 	}
 	if e.Now() != target {
 		t.Fatalf("final clock %d, want %d", e.Now(), target)

@@ -3,29 +3,18 @@ package sim
 import "container/heap"
 
 // scheduled is one queued event of the ReferenceEngine: its (time, seq)
-// stamp and exactly one of the three callback variants Engine accepts.
+// stamp and its callback, a plain Event or a bound handler's ArgEvent
+// with its argument.
 type scheduled struct {
 	at  Time
 	seq uint64
 	fn  Event
-	tfn func()
 	afn ArgEvent
 	arg int
 }
 
-func (s *scheduled) call(now Time) {
-	switch {
-	case s.fn != nil:
-		s.fn(now)
-	case s.afn != nil:
-		s.afn(now, s.arg)
-	default:
-		s.tfn()
-	}
-}
-
 // ReferenceEngine is the original binary-heap scheduler this package
-// shipped with, kept compiled in as the executable specification of the
+// shipped with, kept as the executable specification of the
 // (time, insertion-order) contract. It is deliberately boring: one
 // container/heap ordered by (at, seq), no buckets, no pooling.
 //
@@ -34,12 +23,13 @@ func (s *scheduled) call(now Time) {
 // every possible event program. TestSchedulerEquivalence and
 // FuzzSchedulerEquivalence drive both implementations with the same
 // inputs and fail on the first divergence; the engine benchmarks use it
-// as the performance baseline. It is not used by the simulator itself.
+// as the performance baseline.
 type ReferenceEngine struct {
-	now    Time
-	seq    uint64
-	events refHeap
-	nRun   uint64
+	now      Time
+	seq      uint64
+	events   refHeap
+	nRun     uint64
+	handlers []ArgEvent // [0] is the nil handler, as on Engine
 }
 
 // NewReference returns a fresh reference engine with the clock at zero.
@@ -54,7 +44,22 @@ func (e *ReferenceEngine) Executed() uint64 { return e.nRun }
 // Pending reports how many events are waiting to run.
 func (e *ReferenceEngine) Pending() int { return len(e.events) }
 
+// Bind registers fn and returns the handler that schedules it.
+func (e *ReferenceEngine) Bind(fn ArgEvent) Handler {
+	if e.handlers == nil {
+		e.handlers = []ArgEvent{nil}
+	}
+	e.handlers = append(e.handlers, fn)
+	return Handler(len(e.handlers) - 1)
+}
+
+// Call runs handler h with arg now, inline.
+func (e *ReferenceEngine) Call(h Handler, arg int) { e.handlers[h](e.now, arg) }
+
 func (e *ReferenceEngine) insert(at Time, it scheduled) {
+	if at < e.now {
+		at = e.now
+	}
 	e.seq++
 	it.at = at
 	it.seq = e.seq
@@ -67,38 +72,20 @@ func (e *ReferenceEngine) Schedule(delay Time, fn Event) {
 	e.insert(e.now+delay, scheduled{fn: fn})
 }
 
-// ScheduleThunk is Schedule for a clock-ignoring callback.
-func (e *ReferenceEngine) ScheduleThunk(delay Time, fn func()) {
-	e.insert(e.now+delay, scheduled{tfn: fn})
-}
-
-// ScheduleArg runs fn(now, arg) after delay cycles.
-func (e *ReferenceEngine) ScheduleArg(delay Time, fn ArgEvent, arg int) {
-	e.insert(e.now+delay, scheduled{afn: fn, arg: arg})
+// ScheduleArg runs handler h with arg after delay cycles.
+func (e *ReferenceEngine) ScheduleArg(delay Time, h Handler, arg int) {
+	e.insert(e.now+delay, scheduled{afn: e.handlers[h], arg: arg})
 }
 
 // At runs fn at absolute time at, clamped to the present.
 func (e *ReferenceEngine) At(at Time, fn Event) {
-	if at < e.now {
-		at = e.now
-	}
 	e.insert(at, scheduled{fn: fn})
 }
 
-// AtThunk is At for a clock-ignoring callback.
-func (e *ReferenceEngine) AtThunk(at Time, fn func()) {
-	if at < e.now {
-		at = e.now
-	}
-	e.insert(at, scheduled{tfn: fn})
-}
-
-// AtArg runs fn(now, arg) at absolute time at, clamped to the present.
-func (e *ReferenceEngine) AtArg(at Time, fn ArgEvent, arg int) {
-	if at < e.now {
-		at = e.now
-	}
-	e.insert(at, scheduled{afn: fn, arg: arg})
+// AtArg runs handler h with arg at absolute time at, clamped to the
+// present.
+func (e *ReferenceEngine) AtArg(at Time, h Handler, arg int) {
+	e.insert(at, scheduled{afn: e.handlers[h], arg: arg})
 }
 
 // Step executes the single next event and reports whether one existed.
@@ -109,7 +96,11 @@ func (e *ReferenceEngine) Step() bool {
 	it := heap.Pop(&e.events).(scheduled)
 	e.now = it.at
 	e.nRun++
-	it.call(e.now)
+	if it.fn != nil {
+		it.fn(e.now)
+	} else {
+		it.afn(e.now, it.arg)
+	}
 	return true
 }
 
@@ -138,7 +129,8 @@ func (e *ReferenceEngine) RunUntil(deadline Time) bool {
 	return true
 }
 
-// Reset returns the engine to its zero state, discarding queued events.
+// Reset returns the engine to its zero state, discarding queued events;
+// bound handlers stay bound.
 func (e *ReferenceEngine) Reset() {
 	e.events = nil
 	e.now, e.seq, e.nRun = 0, 0, 0

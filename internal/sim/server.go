@@ -41,25 +41,16 @@ func (s *Server) Latency() Time { return s.latency }
 // BusyUntil reports the cycle at which the serialization stage frees up.
 func (s *Server) BusyUntil() Time { return Time(math.Ceil(s.nextFree)) }
 
-// Transfer enqueues a transfer of size bytes and schedules done when the
-// last byte has arrived (serialization + latency). done may be nil for
-// fire-and-forget traffic whose completion is tracked elsewhere. It
-// returns the completion time.
-func (s *Server) Transfer(size int, done Event) Time {
+// TransferArg enqueues a transfer of size bytes and, when the last
+// byte has arrived (serialization + latency), runs handler h with arg:
+// the memory datapath passes a pooled record index through arg. A zero
+// h is fire-and-forget traffic whose completion is tracked elsewhere.
+// It returns the completion time.
+func (s *Server) TransferArg(size int, h Handler, arg int) Time {
 	complete := s.occupy(size)
-	if done != nil {
-		s.eng.At(complete, done)
+	if h != 0 {
+		s.eng.AtArg(complete, h, arg)
 	}
-	return complete
-}
-
-// TransferArg is Transfer for a long-lived ArgEvent callback plus an
-// integer argument: the completion path for pooled continuations (the
-// memory datapath passes a transaction index through fn's arg instead
-// of allocating a closure per message).
-func (s *Server) TransferArg(size int, fn ArgEvent, arg int) Time {
-	complete := s.occupy(size)
-	s.eng.AtArg(complete, fn, arg)
 	return complete
 }
 

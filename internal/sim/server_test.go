@@ -5,12 +5,21 @@ import (
 	"testing/quick"
 )
 
+// send transfers size bytes through s and runs fn on completion; a
+// nil fn is fire-and-forget traffic.
+func send(s *Server, size int, fn Event) Time {
+	if fn == nil {
+		return s.TransferArg(size, 0, 0)
+	}
+	return s.TransferArg(size, s.eng.Bind(func(now Time, _ int) { fn(now) }), 0)
+}
+
 func TestServerSerialization(t *testing.T) {
 	e := New()
 	s := NewServer(e, 10, 0) // 10 B/cycle, no latency
 	var done []Time
 	for i := 0; i < 3; i++ {
-		s.Transfer(100, func(now Time) { done = append(done, now) })
+		send(s, 100, func(now Time) { done = append(done, now) })
 	}
 	e.Run()
 	// Each 100B transfer takes 10 cycles; back to back: 10, 20, 30.
@@ -26,7 +35,7 @@ func TestServerLatency(t *testing.T) {
 	e := New()
 	s := NewServer(e, 10, 50)
 	var at Time
-	s.Transfer(100, func(now Time) { at = now })
+	send(s, 100, func(now Time) { at = now })
 	e.Run()
 	if at != 60 {
 		t.Fatalf("completion at %d, want 60 (10 serialize + 50 latency)", at)
@@ -41,7 +50,7 @@ func TestServerSubCycleMessages(t *testing.T) {
 	s := NewServer(e, 256, 0)
 	n := 0
 	for i := 0; i < 64; i++ {
-		s.Transfer(32, func(Time) { n++ })
+		send(s, 32, func(Time) { n++ })
 	}
 	e.Run()
 	// 64 × 32B = 2048B at 256 B/cycle = 8 cycles, not 64.
@@ -57,9 +66,9 @@ func TestServerIdleGapResets(t *testing.T) {
 	e := New()
 	s := NewServer(e, 10, 0)
 	var second Time
-	s.Transfer(100, nil) // busy until 10
+	send(s, 100, nil) // busy until 10
 	e.Schedule(100, func(Time) {
-		s.Transfer(50, func(now Time) { second = now })
+		send(s, 50, func(now Time) { second = now })
 	})
 	e.Run()
 	if second != 105 {
@@ -71,10 +80,10 @@ func TestServerSetBandwidth(t *testing.T) {
 	e := New()
 	s := NewServer(e, 10, 0)
 	var first, second Time
-	s.Transfer(100, func(now Time) { first = now })
+	send(s, 100, func(now Time) { first = now })
 	e.Schedule(20, func(Time) {
 		s.SetBandwidth(100)
-		s.Transfer(100, func(now Time) { second = now })
+		send(s, 100, func(now Time) { second = now })
 	})
 	e.Run()
 	if first != 10 {
@@ -90,7 +99,7 @@ func TestServerStall(t *testing.T) {
 	s := NewServer(e, 10, 0)
 	s.Stall(40)
 	var at Time
-	s.Transfer(100, func(now Time) { at = now })
+	send(s, 100, func(now Time) { at = now })
 	e.Run()
 	if at != 50 {
 		t.Fatalf("transfer after stall completed at %d, want 50", at)
@@ -101,7 +110,7 @@ func TestServerZeroBandwidth(t *testing.T) {
 	e := New()
 	s := NewServer(e, 0, 5)
 	var at Time
-	s.Transfer(1000, func(now Time) { at = now })
+	send(s, 1000, func(now Time) { at = now })
 	e.Run()
 	if at != 5 {
 		t.Fatalf("zero-bandwidth server should only pay latency, got %d", at)
@@ -120,10 +129,10 @@ func TestPropertyThroughput(t *testing.T) {
 		for _, sz := range sizes {
 			size := int(sz%2000) + 1
 			total += size
-			s.Transfer(size, nil)
+			send(s, size, nil)
 		}
 		var last Time
-		s.Transfer(1, func(now Time) { last = now })
+		send(s, 1, func(now Time) { last = now })
 		e.Run()
 		min := Time(float64(total+1) / bw)
 		max := min + Time(len(sizes)) + 2
@@ -142,7 +151,7 @@ func TestPropertyCompletionMonotonic(t *testing.T) {
 		s := NewServer(e, 3, int(latency))
 		var times []Time
 		for _, sz := range sizes {
-			s.Transfer(int(sz)+1, func(now Time) { times = append(times, now) })
+			send(s, int(sz)+1, func(now Time) { times = append(times, now) })
 		}
 		e.Run()
 		for i := 1; i < len(times); i++ {
@@ -157,31 +166,29 @@ func TestPropertyCompletionMonotonic(t *testing.T) {
 	}
 }
 
-// TestTransferArgMatchesTransfer pins that the pooled-continuation
-// transfer completes at exactly the time the closure-based variants do,
-// with the argument delivered intact.
-func TestTransferArgMatchesTransfer(t *testing.T) {
-	run := func(issue func(s *Server, e *Engine, at *Time)) Time {
-		e := New()
-		s := NewServer(e, 2, 7)
-		var at Time
-		s.Transfer(64, nil) // backlog so serialization queueing is in play
-		issue(s, e, &at)
-		e.Run()
-		return at
+// TestTransferArgCompletion pins the pooled-continuation transfer: its
+// handler runs exactly at the completion time TransferArg returns
+// (serialization behind a backlog, then latency), with the argument
+// delivered intact, and a zero handler queues no event at all.
+func TestTransferArgCompletion(t *testing.T) {
+	e := New()
+	s := NewServer(e, 2, 7)
+	if got := s.TransferArg(64, 0, 0); got != 39 { // backlog: busy until 32
+		t.Fatalf("backlog transfer completes at %d, want 39", got)
 	}
-	want := run(func(s *Server, e *Engine, at *Time) {
-		s.Transfer(32, func(now Time) { *at = now })
+	if e.Pending() != 0 {
+		t.Fatalf("zero handler queued %d events, want none", e.Pending())
+	}
+	var at Time
+	h := e.Bind(func(now Time, arg int) {
+		if arg != 99 {
+			t.Fatalf("arg %d, want 99", arg)
+		}
+		at = now
 	})
-	got := run(func(s *Server, e *Engine, at *Time) {
-		s.TransferArg(32, func(now Time, arg int) {
-			if arg != 99 {
-				t.Fatalf("arg %d, want 99", arg)
-			}
-			*at = now
-		}, 99)
-	})
-	if got != want || got == 0 {
-		t.Fatalf("TransferArg completed at %d, Transfer at %d", got, want)
+	want := s.TransferArg(32, h, 99)
+	e.Run()
+	if want != 32+16+7 || at != want {
+		t.Fatalf("TransferArg returned %d and completed at %d, want %d for both", want, at, 32+16+7)
 	}
 }

@@ -48,11 +48,11 @@ type SM struct {
 	ctaLeft  map[int]int // warps still live per resident CTA
 	onCTADne func(smID, ctaID int)
 
-	// Long-lived event callbacks, bound once at construction so the
-	// per-cycle issue loop and per-instruction warp wakeups schedule
-	// without allocating a closure per event.
-	tickEv sim.Event
-	wakeEv sim.ArgEvent
+	// Handlers bound once at construction, so the per-cycle issue loop
+	// and per-instruction warp wakeups schedule without allocating a
+	// closure per event.
+	tickEv sim.Handler
+	wakeEv sim.Handler
 
 	// Statistics.
 	Issued     stats.Counter
@@ -85,8 +85,8 @@ func NewSM(eng *sim.Engine, port MemPort, id, maxWarps, maxCTAs, issueWidth int,
 	for i := range s.free {
 		s.free[i] = maxWarps - 1 - i
 	}
-	s.tickEv = s.issueTick
-	s.wakeEv = func(_ sim.Time, slot int) { s.wake(slot) }
+	s.tickEv = eng.Bind(s.issueTick)
+	s.wakeEv = eng.Bind(func(_ sim.Time, slot int) { s.wake(slot) })
 	return s
 }
 
@@ -161,10 +161,11 @@ func (s *SM) kick() {
 		return
 	}
 	s.running = true
-	s.eng.Schedule(0, s.tickEv)
+	s.eng.ScheduleArg(0, s.tickEv, 0)
 }
 
-func (s *SM) issueTick(now sim.Time) {
+// issueTick is one cycle of the issue loop (its argument is unused).
+func (s *SM) issueTick(now sim.Time, _ int) {
 	issued := 0
 	for issued < s.issueWidth {
 		slot := s.pick()
@@ -178,7 +179,7 @@ func (s *SM) issueTick(now sim.Time) {
 		s.BusyCycles.Inc()
 	}
 	if s.anyReady() {
-		s.eng.Schedule(1, s.tickEv)
+		s.eng.ScheduleArg(1, s.tickEv, 0)
 	} else {
 		s.running = false
 	}

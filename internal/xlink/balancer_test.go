@@ -14,8 +14,8 @@ type clock struct{ at sim.Time }
 // drive pushes bytes into both directions, advances one window, and
 // steps the balancer at its boundary.
 func (c *clock) drive(eng *sim.Engine, l *Link, b *Balancer, egress, ingress int) {
-	l.Send(Egress, egress, nil)
-	l.Send(Ingress, ingress, nil)
+	l.SendArg(Egress, egress, 0, 0)
+	l.SendArg(Ingress, ingress, 0, 0)
 	c.at += 1000
 	eng.RunUntil(c.at)
 	b.Step(c.at)
@@ -126,7 +126,7 @@ func TestBalancerStartStop(t *testing.T) {
 	b.Start(eng)
 	// Saturate egress continuously for 5 windows.
 	for w := 0; w < 5; w++ {
-		eng.Schedule(sim.Time(w*500), func(sim.Time) { l.Send(Egress, 4000, nil) })
+		eng.Schedule(sim.Time(w*500), func(sim.Time) { l.SendArg(Egress, 4000, 0, 0) })
 	}
 	eng.RunUntil(2500)
 	b.Stop()

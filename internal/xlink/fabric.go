@@ -26,18 +26,12 @@ type Fabric struct {
 	paths [][][]pathHop
 
 	// Pooled route walker: in-flight messages live in recs, indexed by
-	// the arg threaded through the two long-lived ArgEvents, so the
+	// the arg threaded through the two bound handlers, so the
 	// steady-state datapath allocates nothing per message.
 	recs   []routeRec
 	freeRl []int
-	hopEv  sim.ArgEvent
-	stepEv sim.ArgEvent
-
-	// Sharded execution (EnableSharding): every delivery is checked
-	// against the ParallelEngine's lookahead bound via the (sentAt, src)
-	// stamp carried on its route record.
-	pe      *sim.ParallelEngine
-	shardOf func(arch.SocketID) int
+	hopH   sim.Handler
+	stepH  sim.Handler
 }
 
 // pathHop is one precomputed traversal: a physical link, the direction
@@ -49,19 +43,13 @@ type pathHop struct {
 	post sim.Time
 }
 
-// routeRec is one in-flight routed message. src/dst/sentAt are the
-// cross-shard stamp: where the message entered the fabric and when,
-// validated against the lookahead bound at delivery when sharding is
-// enabled.
+// routeRec is one in-flight routed message and the continuation to
+// run at its destination (a zero done runs nothing).
 type routeRec struct {
 	path    []pathHop
 	pos     int
 	size    int
-	src     arch.SocketID
-	dst     arch.SocketID
-	sentAt  sim.Time
-	doneEv  sim.Event
-	doneFn  sim.ArgEvent // with doneArg: the pooled-continuation variant
+	done    sim.Handler
 	doneArg int
 }
 
@@ -79,8 +67,8 @@ func NewFabric(eng *sim.Engine, cfg arch.Config) *Fabric {
 		panic("xlink: topology socket count does not match Config.Sockets")
 	}
 	f := &Fabric{eng: eng, top: t, switchLat: sim.Time(cfg.SwitchLatency)}
-	f.hopEv = f.hopDone
-	f.stepEv = f.step
+	f.hopH = eng.Bind(f.hopDone)
+	f.stepH = eng.Bind(f.step)
 
 	for _, ls := range t.Links {
 		lanesAB, lanesBA := ls.LanesAB, ls.LanesBA
@@ -290,7 +278,6 @@ func (f *Fabric) acquire(src, dst arch.SocketID, size int) int {
 	}
 	r := &f.recs[idx]
 	r.path, r.pos, r.size = f.paths[src][dst], 0, size
-	r.src, r.dst, r.sentAt = src, dst, f.eng.Now()
 	return idx
 }
 
@@ -301,7 +288,7 @@ func (f *Fabric) hopDone(now sim.Time, arg int) {
 	post := r.path[r.pos].post
 	r.pos++
 	if post > 0 {
-		f.eng.ScheduleArg(post, f.stepEv, arg)
+		f.eng.ScheduleArg(post, f.stepH, arg)
 		return
 	}
 	f.step(now, arg)
@@ -312,54 +299,32 @@ func (f *Fabric) step(now sim.Time, arg int) {
 	r := &f.recs[arg]
 	if r.pos < len(r.path) {
 		h := r.path[r.pos]
-		h.link.SendArg(h.dir, r.size, f.hopEv, arg)
+		h.link.SendArg(h.dir, r.size, f.hopH, arg)
 		return
 	}
-	doneEv, doneFn, doneArg := r.doneEv, r.doneFn, r.doneArg
-	if f.pe != nil {
-		// Delivered: the stamp proves this crossing respected the
-		// lookahead bound (NoteCross panics otherwise).
-		f.pe.NoteCross(f.shardOf(r.src), f.shardOf(r.dst), r.sentAt)
-	}
-	r.path, r.doneEv, r.doneFn = nil, nil, nil
+	done, doneArg := r.done, r.doneArg
 	f.freeRl = append(f.freeRl, arg)
-	if doneEv != nil {
-		doneEv(now)
-	} else if doneFn != nil {
-		doneFn(now, doneArg)
+	if done != 0 {
+		f.eng.Call(done, doneArg)
 	}
 }
 
-// Route delivers a size-byte message from socket src to socket dst
-// along the precomputed path. done fires when the message arrives at
-// dst and may be nil.
-func (f *Fabric) Route(src, dst arch.SocketID, size int, done sim.Event) {
+// RouteArg delivers a size-byte message from socket src to socket dst
+// along the precomputed path and runs handler h with arg when it
+// arrives: the core-package remote memory protocol passes its pooled
+// round-trip record index through arg, so no closure is built per
+// message. A zero h routes without a continuation.
+func (f *Fabric) RouteArg(src, dst arch.SocketID, size int, h sim.Handler, arg int) {
 	if src == dst {
 		// Degenerate but legal: loopback costs only switch latency.
-		if done != nil {
-			f.eng.Schedule(f.switchLat, done)
-		}
-		return
-	}
-	idx := f.acquire(src, dst, size)
-	f.recs[idx].doneEv = done
-	f.step(f.eng.Now(), idx)
-}
-
-// RouteArg is Route for a long-lived ArgEvent continuation plus an
-// integer argument: the core-package remote memory protocol passes its
-// pooled round-trip record index through arg, so no closure is built
-// per message. fn may be nil.
-func (f *Fabric) RouteArg(src, dst arch.SocketID, size int, fn sim.ArgEvent, arg int) {
-	if src == dst {
-		if fn != nil {
-			f.eng.ScheduleArg(f.switchLat, fn, arg)
+		if h != 0 {
+			f.eng.ScheduleArg(f.switchLat, h, arg)
 		}
 		return
 	}
 	idx := f.acquire(src, dst, size)
 	r := &f.recs[idx]
-	r.doneFn, r.doneArg = fn, arg
+	r.done, r.doneArg = h, arg
 	f.step(f.eng.Now(), idx)
 }
 
@@ -379,42 +344,6 @@ func (f *Fabric) PathCost(src, dst arch.SocketID) sim.Time {
 		c += h.link.srv[h.dir].Latency() + h.post
 	}
 	return c
-}
-
-// MinPathCost reports the smallest PathCost over all ordered pairs of
-// distinct sockets: the fastest any socket can causally affect another
-// through the fabric, and therefore the conservative lookahead bound
-// for sharded execution (sim.ParallelEngine). Zero for single-socket
-// topologies, which have no inter-socket path.
-func (f *Fabric) MinPathCost() sim.Time {
-	var best sim.Time
-	found := false
-	for src := range f.ports {
-		for dst := range f.ports {
-			if src == dst {
-				continue
-			}
-			c := f.PathCost(arch.SocketID(src), arch.SocketID(dst))
-			if !found || c < best {
-				best, found = c, true
-			}
-		}
-	}
-	if !found {
-		return 0
-	}
-	return best
-}
-
-// EnableSharding attaches the fabric to a sharded execution: shardOf
-// maps each socket to its engine shard, and from now on every delivered
-// route is checked against pe's lookahead bound using the (sentAt, src)
-// stamp on its record — the runtime proof that no cross-shard
-// interaction in the run beat the bound the windows were derived from.
-// pe.NoteCross panics loudly on a violation. Call before any traffic.
-func (f *Fabric) EnableSharding(pe *sim.ParallelEngine, shardOf func(arch.SocketID) int) {
-	f.pe = pe
-	f.shardOf = shardOf
 }
 
 // ResetDesign restores every link to its design-time lane assignment

@@ -107,24 +107,16 @@ func (l *Link) TotalLanes() int { return l.totalLanes }
 // Bandwidth reports dir's current capacity in bytes/cycle.
 func (l *Link) Bandwidth(dir Direction) float64 { return l.srv[dir].Bandwidth() }
 
-// Send moves size bytes in direction dir; done fires on delivery at the
-// far end of this traversal and may be nil.
-func (l *Link) Send(dir Direction, size int, done sim.Event) {
-	l.Sent[dir].Advance(uint64(size))
-	l.balBytes[dir].Add(uint64(size))
-	l.profBytes[dir].Add(uint64(size))
-	l.srv[dir].Transfer(size, done)
-}
-
-// SendArg is Send for a long-lived ArgEvent continuation plus an
-// integer argument: the fabric's multi-hop walker passes its pooled
+// SendArg moves size bytes in direction dir and runs handler h with arg
+// on delivery at the far end of this traversal; a zero h sends without
+// a continuation. The fabric's multi-hop walker passes its pooled
 // route-record index through arg instead of allocating a closure per
 // hop.
-func (l *Link) SendArg(dir Direction, size int, fn sim.ArgEvent, arg int) {
+func (l *Link) SendArg(dir Direction, size int, h sim.Handler, arg int) {
 	l.Sent[dir].Advance(uint64(size))
 	l.balBytes[dir].Add(uint64(size))
 	l.profBytes[dir].Add(uint64(size))
-	l.srv[dir].TransferArg(size, fn, arg)
+	l.srv[dir].TransferArg(size, h, arg)
 }
 
 // Backlog reports how many cycles of queued traffic dir's

@@ -31,7 +31,7 @@ func TestLinkSendLatency(t *testing.T) {
 	eng := sim.New()
 	l := newTestLink(eng)
 	var at sim.Time
-	l.Send(Egress, 8, func(now sim.Time) { at = now })
+	l.SendArg(Egress, 8, eng.Bind(func(now sim.Time, _ int) { at = now }), 0)
 	eng.Run()
 	// 8B at 8 B/c = 1 cycle + 64 cycles (half of 128 one-way).
 	if at != 65 {
@@ -116,7 +116,7 @@ func TestUtilizationWindows(t *testing.T) {
 	eng := sim.New()
 	l := newTestLink(eng)
 	l.ResetWindow(0)
-	l.Send(Egress, 400, nil)
+	l.SendArg(Egress, 400, 0, 0)
 	eng.Run()
 	// 400B over 100 cycles at 8 B/c = 0.5.
 	if u := l.Utilization(Egress, 100); u < 0.49 || u > 0.51 {
@@ -136,7 +136,7 @@ func TestProfileWindowIndependent(t *testing.T) {
 	l := newTestLink(eng)
 	l.ResetWindow(0)
 	l.ResetProfileWindow(0)
-	l.Send(Egress, 160, nil)
+	l.SendArg(Egress, 160, 0, 0)
 	eng.Run()
 	l.ResetWindow(50) // balancer consumed its window
 	if u := l.ProfileUtilization(Egress, 100); u < 0.19 || u > 0.21 {
@@ -183,7 +183,7 @@ func TestFabricRoute(t *testing.T) {
 		t.Fatalf("links %d, want %d", f.NumLinks(), cfg.Sockets)
 	}
 	var at sim.Time
-	f.Route(0, 2, 128, func(now sim.Time) { at = now })
+	f.RouteArg(0, 2, 128, eng.Bind(func(now sim.Time, _ int) { at = now }), 0)
 	eng.Run()
 	min := sim.Time(cfg.LinkLatency + cfg.SwitchLatency)
 	if at < min {
@@ -205,7 +205,7 @@ func TestFabricLoopback(t *testing.T) {
 	eng := sim.New()
 	f := NewFabric(eng, arch.TestConfig())
 	ran := false
-	f.Route(1, 1, 64, func(sim.Time) { ran = true })
+	f.RouteArg(1, 1, 64, eng.Bind(func(sim.Time, int) { ran = true }), 0)
 	eng.Run()
 	if !ran {
 		t.Fatal("loopback route must still deliver")
@@ -236,7 +236,7 @@ func TestPropertyRouteConservation(t *testing.T) {
 			src := arch.SocketID(i % 4)
 			dst := arch.SocketID((i + 1 + int(m)%3) % 4)
 			size := int(m%512) + 1
-			fab.Route(src, dst, size, nil)
+			fab.RouteArg(src, dst, size, 0, 0)
 			wantE[src] += uint64(size)
 			wantI[dst] += uint64(size)
 		}

@@ -3,7 +3,6 @@ package xlink
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -59,11 +58,12 @@ func floydMinPaths(t *topo.Topology, cfg arch.Config, synthesized bool) [][]sim.
 	return dist
 }
 
-// TestLookaheadBoundProperty checks the derived lookahead bound on
-// every example topology shipped in examples/*.json plus the
-// nil-topology crossbar: the fabric's MinPathCost must equal the
-// independently computed minimum over per-pair path costs, and every
-// individual PathCost must equal its all-pairs shortest latency.
+// TestLookaheadBoundProperty checks the fabric's path costs on every
+// example topology shipped in examples/*.json plus the nil-topology
+// crossbar: every PathCost — the fastest a message can make that
+// crossing, the lower bound on how soon one socket can affect another —
+// must be positive and equal the pair's all-pairs shortest latency, so
+// the fabric's Dijkstra routes are the shortest paths.
 func TestLookaheadBoundProperty(t *testing.T) {
 	type tcase struct {
 		name        string
@@ -100,8 +100,6 @@ func TestLookaheadBoundProperty(t *testing.T) {
 			f := NewFabric(sim.New(), cfg)
 			dist := floydMinPaths(top, cfg, synthesized)
 			sockets := len(top.Sockets)
-			want := sim.Time(0)
-			first := true
 			for src := 0; src < sockets; src++ {
 				for dst := 0; dst < sockets; dst++ {
 					if src == dst {
@@ -111,68 +109,11 @@ func TestLookaheadBoundProperty(t *testing.T) {
 					if got != dist[src][dst] {
 						t.Errorf("PathCost(%d,%d) = %d, Floyd–Warshall says %d", src, dst, got, dist[src][dst])
 					}
-					if first || dist[src][dst] < want {
-						want, first = dist[src][dst], false
+					if got < 1 {
+						t.Errorf("PathCost(%d,%d) = %d: a crossing must take time", src, dst, got)
 					}
 				}
 			}
-			if got := f.MinPathCost(); got != want {
-				t.Fatalf("MinPathCost = %d, want %d (min over per-pair path costs)", got, want)
-			}
-			if got := f.MinPathCost(); got < 1 {
-				t.Fatalf("MinPathCost = %d: not a usable lookahead bound", got)
-			}
 		})
 	}
-}
-
-// TestShardedRouteValidation pins both sides of the delivery check on a
-// sharded fabric: routes under the true MinPathCost bound are counted
-// as legal crossings, and a crafted sub-bound crossing — simulated by
-// inflating the engine's lookahead past the fastest real path — panics
-// loudly at delivery instead of silently corrupting the window
-// protocol.
-func TestShardedRouteValidation(t *testing.T) {
-	build := func(lookaheadBump sim.Time) (*sim.ParallelEngine, *Fabric) {
-		cfg := arch.TestConfig()
-		pe := sim.NewLockstep(cfg.Sockets, 1)
-		eng := pe.Shard(0)
-		f := NewFabric(eng, cfg)
-		pe.SetLookahead(f.MinPathCost() + lookaheadBump)
-		f.EnableSharding(pe, func(id arch.SocketID) int { return int(id) })
-		return pe, f
-	}
-
-	pe, f := build(0)
-	delivered := 0
-	for src := 0; src < 4; src++ {
-		for dst := 0; dst < 4; dst++ {
-			if src != dst {
-				f.RouteArg(arch.SocketID(src), arch.SocketID(dst), 128, func(sim.Time, int) { delivered++ }, 0)
-			}
-		}
-	}
-	pe.Run()
-	if delivered != 12 {
-		t.Fatalf("delivered %d routes, want 12", delivered)
-	}
-	if pe.CrossDelivered() != 12 {
-		t.Fatalf("CrossDelivered = %d, want 12 validated crossings", pe.CrossDelivered())
-	}
-
-	// A message arriving faster than the engine's bound must be rejected
-	// loudly: with the bound inflated past the unloaded path cost plus
-	// its serialization slack, the real fastest path is now sub-bound.
-	pe, f = build(64)
-	f.RouteArg(0, 1, 1, nil, 0) // minimal serialization: near the unloaded path cost
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("sub-bound cross-shard delivery was not rejected")
-		}
-		if msg, ok := p.(string); !ok || !strings.Contains(msg, "below the lookahead bound") {
-			t.Fatalf("panic %v, want the lookahead-bound rejection", p)
-		}
-	}()
-	pe.Run()
 }

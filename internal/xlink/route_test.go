@@ -33,7 +33,7 @@ func TestMultiHopLatencyAccounting(t *testing.T) {
 	eng := sim.New()
 	f := NewFabric(eng, lineTopoConfig())
 	var at sim.Time
-	f.Route(0, 2, 128, func(now sim.Time) { at = now })
+	f.RouteArg(0, 2, 128, eng.Bind(func(now sim.Time, _ int) { at = now }), 0)
 	eng.Run()
 	// Link 0-1: 128B at 2 B/c = 64 cycles + 10 wire = 74.
 	// Switch hop: +16 = 90.
@@ -47,7 +47,7 @@ func TestMultiHopLatencyAccounting(t *testing.T) {
 			f.LinkAt(0).Sent[Egress].Value(), f.LinkAt(1).Sent[Egress].Value())
 	}
 	// And the reverse route uses the Ingress directions.
-	f.RouteArg(2, 0, 64, nil, 0)
+	f.RouteArg(2, 0, 64, 0, 0)
 	eng.Run()
 	if f.LinkAt(0).Sent[Ingress].Value() != 64 || f.LinkAt(1).Sent[Ingress].Value() != 64 {
 		t.Fatal("reverse route must use the B→A directions")
@@ -104,32 +104,31 @@ func TestCrossbarPathsMatchLegacyStar(t *testing.T) {
 }
 
 // TestRouteAllocFree: the steady-state routing datapath — loopback and
-// multi-hop, Event and ArgEvent callbacks — must not allocate per
+// multi-hop, with and without a continuation — must not allocate per
 // message. The loopback path used to build a per-message adapter
 // closure; this pins the fix.
 func TestRouteAllocFree(t *testing.T) {
 	eng := sim.New()
 	f := NewFabric(eng, arch.TestConfig())
 	var delivered int
-	doneEv := sim.Event(func(sim.Time) { delivered++ })
-	doneFn := sim.ArgEvent(func(sim.Time, int) { delivered++ })
+	done := eng.Bind(func(sim.Time, int) { delivered++ })
 
 	// Warm the route-record pool, the engine's event storage, and the
 	// servers.
 	for i := 0; i < 64; i++ {
-		f.Route(0, 2, 128, doneEv)
-		f.RouteArg(2, 1, 128, doneFn, 7)
-		f.Route(1, 1, 64, doneEv)
-		f.RouteArg(3, 3, 64, doneFn, 7)
+		f.RouteArg(0, 2, 128, done, 0)
+		f.RouteArg(2, 1, 128, done, 7)
+		f.RouteArg(1, 1, 64, done, 0)
+		f.RouteArg(3, 3, 64, done, 7)
 	}
 	eng.Run()
 
 	allocs := testing.AllocsPerRun(100, func() {
-		f.Route(0, 2, 128, doneEv)
-		f.RouteArg(2, 1, 128, doneFn, 7)
-		f.Route(1, 1, 64, doneEv)
-		f.RouteArg(3, 3, 64, doneFn, 7)
-		f.Route(0, 3, 256, nil)
+		f.RouteArg(0, 2, 128, done, 0)
+		f.RouteArg(2, 1, 128, done, 7)
+		f.RouteArg(1, 1, 64, done, 0)
+		f.RouteArg(3, 3, 64, done, 7)
+		f.RouteArg(0, 3, 256, 0, 0)
 		eng.Run()
 	})
 	if allocs != 0 {
@@ -150,7 +149,7 @@ func TestAsymmetricLinkDesign(t *testing.T) {
 		t.Fatalf("design lanes %d/%d of %d", l.Lanes(Egress), l.Lanes(Ingress), l.TotalLanes())
 	}
 	var at sim.Time
-	l.Send(Ingress, 2, func(now sim.Time) { at = now })
+	l.SendArg(Ingress, 2, eng.Bind(func(now sim.Time, _ int) { at = now }), 0)
 	eng.Run()
 	if at != 10 { // 2B at 2 B/c = 1 cycle + 9 wire
 		t.Fatalf("ingress delivery at %d, want 10", at)

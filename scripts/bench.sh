@@ -37,8 +37,6 @@ modelbench=$(go test -run '^$' -bench Model -benchmem -benchtime "$BENCHTIME" ./
 printf '%s\n' "$modelbench"
 
 quick_wall=null
-fig8_serial_wall=null
-fig8_shards4_wall=null
 fig3_obs_off_wall=null
 fig3_obs_on_wall=null
 obs_overhead_pct=null
@@ -50,22 +48,6 @@ if [ "$RUN_QUICK" = 1 ]; then
   "$bin" -quick all > /dev/null
   end=$(date +%s%N)
   quick_wall=$(awk -v s="$start" -v e="$end" 'BEGIN { printf "%.1f", (e-s)/1e9 }')
-
-  # Parallel-engine wall clock: fig8 serial vs -shards 4 on the same
-  # binary, byte-compared. On a single-CPU runner this measures sharding
-  # overhead, not speedup — the cmp is the point (see docs/PERF.md).
-  echo "timing numagpu -quick fig8: serial vs -shards 4 (byte-compared)..." >&2
-  pq=$(mktemp -d -t parbench.XXXXXX)
-  start=$(date +%s%N)
-  "$bin" -quick -j 1 -golden fig8 > "$pq/fig8.serial"
-  end=$(date +%s%N)
-  fig8_serial_wall=$(awk -v s="$start" -v e="$end" 'BEGIN { printf "%.1f", (e-s)/1e9 }')
-  start=$(date +%s%N)
-  "$bin" -quick -j 1 -shards 4 -golden fig8 > "$pq/fig8.shards4"
-  end=$(date +%s%N)
-  fig8_shards4_wall=$(awk -v s="$start" -v e="$end" 'BEGIN { printf "%.1f", (e-s)/1e9 }')
-  cmp "$pq/fig8.serial" "$pq/fig8.shards4"
-  rm -rf "$pq"
 
   # Observability sampling overhead: fig3 with the series probes on
   # (no -trace: tracing additionally writes a multi-MB trace.json per
@@ -165,8 +147,6 @@ fi
 
 current=$(printf '%s\n%s\n' "$engbench" "$modelbench" | awk \
   -v quick_wall="$quick_wall" \
-  -v fig8_serial_wall="$fig8_serial_wall" \
-  -v fig8_shards4_wall="$fig8_shards4_wall" \
   -v fig3_obs_off_wall="$fig3_obs_off_wall" \
   -v fig3_obs_on_wall="$fig3_obs_on_wall" \
   -v obs_overhead_pct="$obs_overhead_pct" \
@@ -210,14 +190,6 @@ END {
   printf "  },\n"
   printf "  \"speedup_steady_state\": %.2f,\n", ns["BenchmarkReferenceEngineSteadyState"] / ns["BenchmarkEngineSteadyState"]
   printf "  \"speedup_mixed_delays\": %.2f,\n", ns["BenchmarkReferenceEngineMixedDelays"] / ns["BenchmarkEngineMixedDelays"]
-  printf "  \"parallel\": {\n"
-  printf "    \"windowed_1shard\": %s,\n", entry("BenchmarkParallelEngineShards1")
-  printf "    \"windowed_2shard\": %s,\n", entry("BenchmarkParallelEngineShards2")
-  printf "    \"windowed_4shard\": %s,\n", entry("BenchmarkParallelEngineShards4")
-  printf "    \"lockstep_4shard\": %s,\n", entry("BenchmarkParallelEngineLockstep4")
-  printf "    \"fig8_quick_serial_wall_seconds\": %s,\n", fig8_serial_wall
-  printf "    \"fig8_quick_shards4_wall_seconds\": %s\n", fig8_shards4_wall
-  printf "  },\n"
   printf "  \"model\": {\n"
   printf "    \"l1_hit\": %s,\n",         mentry("BenchmarkModelL1Hit")
   printf "    \"l2_hit\": %s,\n",         mentry("BenchmarkModelL2Hit")
@@ -259,9 +231,6 @@ if command -v jq >/dev/null 2>&1; then
         quick_all_wall_seconds: $cur.quick_all_wall_seconds,
         engine_steady_ns_per_event: $cur.engine.steady_state.ns_per_event,
         engine_backlog_ns_per_event: $cur.engine.backlog.ns_per_event,
-        parallel_windowed4_ns_per_event: $cur.parallel.windowed_4shard.ns_per_event,
-        parallel_lockstep4_ns_per_event: $cur.parallel.lockstep_4shard.ns_per_event,
-        fig8_quick_shards4_wall_seconds: $cur.parallel.fig8_quick_shards4_wall_seconds,
         obs_overhead_pct: $cur.obs.overhead_pct,
         model_l1_hit_ns: $cur.model.l1_hit.ns_per_op,
         model_l2_miss_ns: $cur.model.l2_miss.ns_per_op,
