@@ -2,13 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/exp"
+	"repro/internal/service"
 )
 
 func TestExperimentRegistry(t *testing.T) {
@@ -190,6 +194,75 @@ func TestRunGoldenOutput(t *testing.T) {
 	_, again, _ := runCLI(t, "-golden", "fig2")
 	if stdout != again {
 		t.Fatal("-golden output must be byte-identical across runs")
+	}
+}
+
+func TestRunShardedGoldenIdentical(t *testing.T) {
+	// -remote only moves the simulations: with every run leased as a
+	// shard to the workers of a coordinator, the golden rendering must
+	// be byte-identical to the local run of the same experiment.
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	args := []string{"-divisor", "16", "-iterscale", "0.1", "-golden", "tenancy"}
+	code, local, stderr := runCLI(t, append([]string{"-v"}, args...)...)
+	if code != 0 {
+		t.Fatalf("local exit %d, want 0 (stderr: %s)", code, stderr)
+	}
+	runs := uint64(strings.Count(stderr, "ran "))
+	if runs == 0 {
+		t.Fatalf("local run simulated nothing (stderr: %s)", stderr)
+	}
+
+	srv, err := service.New(service.Config{
+		Options:    exp.Options{Divisor: 16, IterScale: 0.1},
+		Workers:    1,
+		FabricPoll: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("service.New: %v", err)
+	}
+	ts := httptest.NewServer(srv)
+	defer srv.Close()
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	var workers []*service.Worker
+	stopped := make(chan error, 2)
+	for _, name := range []string{"wA", "wB"} {
+		w := service.NewWorker(service.WorkerConfig{
+			CoordinatorURL: ts.URL, Name: name, Window: 1, Poll: 10 * time.Millisecond,
+		})
+		workers = append(workers, w)
+		go func() { stopped <- w.Run(ctx) }()
+	}
+	defer func() {
+		cancel()
+		for range workers {
+			if err := <-stopped; err != nil {
+				t.Errorf("worker drain: %v", err)
+			}
+		}
+	}()
+	client := service.NewClient(ts.URL)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		m, err := client.Metrics()
+		if err == nil && strings.Contains(m, "numagpud_fabric_workers 2\n") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("workers never registered (metrics err %v):\n%s", err, m)
+		}
+	}
+
+	code, sharded, stderr := runCLI(t, append([]string{"-remote", ts.URL}, args...)...)
+	if code != 0 {
+		t.Fatalf("sharded exit %d, want 0 (stderr: %s)", code, stderr)
+	}
+	if local != sharded {
+		t.Fatal("-remote output with the runs sharded over two workers diverged from the local -golden output")
+	}
+	if got := workers[0].Stats().Simulations + workers[1].Stats().Simulations; got != runs {
+		t.Fatalf("workers simulated %d runs, want all %d", got, runs)
 	}
 }
 

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -9,138 +10,99 @@ import (
 	"repro/internal/workload"
 )
 
-// shardedRun runs one workload twice — serial and with EngineShards
-// shards — and returns both results plus the sharded system for
-// engine-level accounting.
-func shardedRun(t *testing.T, cfg arch.Config, shards int, prog func() core.Program) (core.Result, core.Result, *core.System) {
+// shardedRun runs one workload serially, then as shards: the same
+// program on that many Systems at once, one goroutine each, the way the
+// harness and the sweep workers run a sweep's simulations side by side.
+// Every shard's result and event count must equal the serial run's:
+// Systems share no mutable state, so running beside others may not
+// change what one computes. State shared by mistake (a package-level
+// pool, say) rarely corrupts a result on its own, but the race tier
+// (go test -race) reports it here. It returns the serial result.
+func shardedRun(t *testing.T, cfg arch.Config, shards int, prog func() core.Program) core.Result {
 	t.Helper()
 	serial := core.MustSystem(cfg)
-	resSerial := serial.Run(prog())
-	if serial.Parallel() != nil {
-		t.Fatal("serial system must not build a parallel engine")
+	want := serial.Run(prog())
+	if want.Cycles == 0 {
+		t.Fatal("serial run took no cycles")
 	}
-	scfg := cfg
-	scfg.EngineShards = shards
-	sys := core.MustSystem(scfg)
-	if sys.Parallel() == nil {
-		t.Fatalf("EngineShards=%d must build a parallel engine", shards)
+	results := make([]core.Result, shards)
+	executed := make([]uint64, shards)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := 0; i < shards; i++ {
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			sys := core.MustSystem(cfg)
+			p := prog()
+			start.Wait() // release all shards together so they overlap
+			results[i] = sys.Run(p)
+			executed[i] = sys.Engine().Executed()
+		}(i)
 	}
-	resSharded := sys.Run(prog())
-	// The shard count must not leak into the result: results memoized or
-	// cached under the serial config have to stay valid.
-	if !reflect.DeepEqual(resSerial, resSharded) {
-		t.Fatalf("sharded result diverged from serial:\nserial:  %+v\nsharded: %+v", resSerial, resSharded)
-	}
-	serialExec := serial.Engine().Executed()
-	pe := sys.Parallel()
-	if pe.Executed() != serialExec {
-		t.Fatalf("event-count parity broken: serial executed %d events, sharded %d", serialExec, pe.Executed())
-	}
-	var sum uint64
-	busy := 0
-	for i := 0; i < pe.NumShards(); i++ {
-		n := pe.ShardExecuted(i)
-		sum += n
-		if n > 0 {
-			busy++
+	start.Done()
+	done.Wait()
+	for i := range results {
+		if !reflect.DeepEqual(results[i], want) {
+			t.Fatalf("shard %d of %d diverged from the serial run:\nserial: %+v\nshard:  %+v", i, shards, want, results[i])
+		}
+		if executed[i] != serial.Engine().Executed() {
+			t.Fatalf("event-count parity broken: serial executed %d events, shard %d %d",
+				serial.Engine().Executed(), i, executed[i])
 		}
 	}
-	if sum != pe.Executed() {
-		t.Fatalf("per-shard counts sum to %d, total says %d", sum, pe.Executed())
-	}
-	if busy < 2 {
-		t.Fatalf("only %d shard(s) executed events — the work was not actually distributed", busy)
-	}
-	return resSerial, resSharded, sys
+	return want
 }
 
-// TestShardedRunMatchesSerial is the model-level equivalence check:
-// a remote-heavy workload under EngineShards=4 must produce a result
-// deep-equal to the serial engine, with the same total event count
-// split across shards and every fabric route validated as a legal
-// cross-shard delivery.
+// TestShardedRunMatchesSerial is the model-level check: a remote-heavy
+// workload on a NUMA-aware, dynamic-link system run as four concurrent
+// shards must produce results deep-equal to the serial run.
 func TestShardedRunMatchesSerial(t *testing.T) {
 	spec, _ := workload.ByName("HPC-CoMD")
 	cfg := arch.TestConfig()
 	cfg.CacheMode = arch.CacheNUMAAware
 	cfg.LinkMode = arch.LinkDynamic
-	prog := func() core.Program {
+	res := shardedRun(t, cfg, 4, func() core.Program {
 		return spec.Program(workload.Options{IterScale: 0.2, MaxCTAs: 64})
-	}
-	_, _, sys := shardedRun(t, cfg, 4, prog)
-	if sys.Parallel().CrossDelivered() == 0 {
-		t.Fatal("a NUMA-aware multi-socket run must produce validated cross-shard deliveries")
+	})
+	if res.RemoteAccessFraction == 0 || res.LinkBytes == 0 {
+		t.Fatal("a NUMA-aware multi-socket run must access remote lines over the links")
 	}
 }
 
 // TestShardedRemotePlacement drives heavy remote traffic (fine page
-// interleave) through sharded sockets: every RemoteRead/Write crosses
-// shard boundaries through the fabric.
+// interleave) through concurrent shards: every socket's home requests,
+// fabric routes and remote completions run beside another System's.
 func TestShardedRemotePlacement(t *testing.T) {
 	cfg := arch.TestConfig()
 	cfg.Placement = arch.PlaceFineInterleave
-	prog := func() core.Program {
+	res := shardedRun(t, cfg, 4, func() core.Program {
 		return core.Program{Kernels: []core.Kernel{
 			&gridKernel{ctas: 32, warps: 2, loads: 8, store: true},
 		}}
-	}
-	_, _, sys := shardedRun(t, cfg, 4, prog)
-	if sys.Parallel().CrossDelivered() == 0 {
-		t.Fatal("fine-interleaved placement must cross shards")
-	}
-}
-
-// TestShardedClampsToSockets asks for more shards than sockets: the
-// system clamps to one shard per socket instead of idling empty shards.
-func TestShardedClampsToSockets(t *testing.T) {
-	cfg := arch.TestConfig() // 4 sockets
-	prog := func() core.Program {
-		return core.Program{Kernels: []core.Kernel{
-			&gridKernel{ctas: 16, warps: 2, loads: 6},
-		}}
-	}
-	_, _, sys := shardedRun(t, cfg, 16, prog)
-	if got := sys.Parallel().NumShards(); got != cfg.Sockets+1 {
-		t.Fatalf("shard count %d, want %d (sockets + fabric shard)", got, cfg.Sockets+1)
-	}
-}
-
-// TestShardedSingleSocketStaysSerial pins the degenerate case: with one
-// socket there is nothing to shard, so the system must fall back to the
-// plain serial engine rather than paying lockstep overhead.
-func TestShardedSingleSocketStaysSerial(t *testing.T) {
-	cfg := arch.TestConfig().WithSockets(1)
-	cfg.EngineShards = 8
-	sys := core.MustSystem(cfg)
-	if sys.Parallel() != nil {
-		t.Fatal("single-socket system must not shard")
-	}
-	res := sys.Run(core.Program{Kernels: []core.Kernel{
-		&gridKernel{ctas: 8, warps: 2, loads: 4},
-	}})
-	if res.Cycles == 0 {
-		t.Fatal("single-socket run failed")
+	})
+	if res.RemoteAccessFraction == 0 || res.LinkBytes == 0 {
+		t.Fatal("fine-interleaved placement must access remote lines over the links")
 	}
 }
 
 // TestShardedMultiKernelSequence runs a kernel sequence with stores and
-// drain barriers across shards — the inter-kernel quiesce points are
-// where a broken window protocol would deadlock or reorder.
+// drain barriers on concurrent shards — the inter-kernel quiesce points
+// and cache flushes are where state leaking between Systems would show.
 func TestShardedMultiKernelSequence(t *testing.T) {
 	cfg := arch.TestConfig()
 	cfg.Sched = arch.SchedFineGrain
-	prog := func() core.Program {
+	res := shardedRun(t, cfg, 2, func() core.Program {
 		return core.Program{Kernels: []core.Kernel{
 			&gridKernel{name: "w", ctas: 24, warps: 2, loads: 10, store: true},
 			&gridKernel{name: "r", ctas: 24, warps: 2, loads: 10},
 			&gridKernel{name: "r2", ctas: 24, warps: 2, loads: 6},
 		}}
+	})
+	if len(res.KernelCycles) != 3 {
+		t.Fatalf("kernel cycles %v, want 3 entries", res.KernelCycles)
 	}
-	resSerial, resSharded, _ := shardedRun(t, cfg, 2, prog)
-	if len(resSharded.KernelCycles) != 3 {
-		t.Fatalf("kernel cycles %v, want 3 entries", resSharded.KernelCycles)
-	}
-	if resSerial.Stores == 0 {
+	if res.Stores == 0 {
 		t.Fatal("no stores recorded")
 	}
 }

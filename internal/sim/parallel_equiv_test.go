@@ -2,381 +2,70 @@ package sim
 
 import (
 	"math/rand"
-	"sort"
+	"sync"
 	"testing"
 )
 
-// multiEngine is the surface shared by the ParallelEngine and the two
-// test oracles, letting one multi-shard program drive all of them.
-type multiEngine interface {
-	sched(i int) schedulerAPI
-	send(src, dst int, delay Time, fn func())
-	Run() Time
-	RunUntil(Time) bool
-	Now() Time
-	ShardNow(i int) Time
-	Executed() uint64
-	Pending() int
-	Cross() uint64
-}
-
-// peDriver adapts a ParallelEngine (either mode) to multiEngine.
-type peDriver struct{ pe *ParallelEngine }
-
-func (d peDriver) sched(i int) schedulerAPI { return d.pe.Shard(i) }
-func (d peDriver) send(src, dst int, delay Time, fn func()) {
-	d.pe.SendThunk(src, dst, delay, fn)
-}
-func (d peDriver) Run() Time            { return d.pe.Run() }
-func (d peDriver) RunUntil(t Time) bool { return d.pe.RunUntil(t) }
-func (d peDriver) Now() Time            { return d.pe.Now() }
-func (d peDriver) ShardNow(i int) Time  { return d.pe.Shard(i).Now() }
-func (d peDriver) Executed() uint64     { return d.pe.Executed() }
-func (d peDriver) Pending() int         { return d.pe.Pending() }
-func (d peDriver) Cross() uint64        { return d.pe.CrossDelivered() }
-
-// flatRef is the lockstep-mode oracle: a single ReferenceEngine playing
-// every shard. The lockstep executor's claim is that sharding is
-// unobservable — all shards share one stamp counter and the globally
-// next (time, seq) event always runs — so the flat engine, which
-// trivially has that property, must produce the identical global trace.
-type flatRef struct {
-	eng       *ReferenceEngine
-	lookahead Time
-	crossN    uint64
-}
-
-func (f *flatRef) sched(int) schedulerAPI { return f.eng }
-func (f *flatRef) send(src, dst int, delay Time, fn func()) {
-	if src == dst {
-		panic("send to own shard")
-	}
-	if delay < f.lookahead {
-		panic("sub-bound send")
-	}
-	f.eng.ScheduleThunk(delay, fn)
-	f.crossN++
-}
-func (f *flatRef) Run() Time            { return f.eng.Run() }
-func (f *flatRef) RunUntil(t Time) bool { return f.eng.RunUntil(t) }
-func (f *flatRef) Now() Time            { return f.eng.Now() }
-func (f *flatRef) ShardNow(int) Time    { return f.eng.Now() }
-func (f *flatRef) Executed() uint64     { return f.eng.Executed() }
-func (f *flatRef) Pending() int         { return f.eng.Pending() }
-func (f *flatRef) Cross() uint64        { return f.crossN }
-
-// refParallel is the windowed-mode oracle: the conservative window
-// protocol implemented naively over ReferenceEngine shards — no
-// bucketing, no pooling, no goroutines. The production windowed
-// executor must match it shard for shard.
-type refParallel struct {
-	shards    []*ReferenceEngine
-	lookahead Time
-	outbox    [][]crossMsg
-	sendSeq   []uint64
-	windows   uint64
-	crossN    uint64
-}
-
-func newRefParallel(n int, lookahead Time) *refParallel {
-	rp := &refParallel{lookahead: lookahead, outbox: make([][]crossMsg, n), sendSeq: make([]uint64, n)}
-	for i := 0; i < n; i++ {
-		rp.shards = append(rp.shards, NewReference())
-	}
-	return rp
-}
-
-func (rp *refParallel) sched(i int) schedulerAPI { return rp.shards[i] }
-
-func (rp *refParallel) send(src, dst int, delay Time, fn func()) {
-	if src == dst {
-		panic("send to own shard")
-	}
-	if delay < rp.lookahead {
-		panic("sub-bound send")
-	}
-	rp.sendSeq[src]++
-	rp.outbox[src] = append(rp.outbox[src], crossMsg{
-		at: rp.shards[src].Now() + delay, src: int32(src), dst: int32(dst),
-		seq: rp.sendSeq[src], tfn: fn,
-	})
-}
-
-func (rp *refParallel) merge() {
-	var all []crossMsg
-	for i := range rp.outbox {
-		all = append(all, rp.outbox[i]...)
-		rp.outbox[i] = nil
-	}
-	sort.Slice(all, func(i, j int) bool { return msgLess(all[i], all[j]) })
-	for _, m := range all {
-		rp.shards[m.dst].AtThunk(m.at, m.tfn)
-		rp.crossN++
-	}
-}
-
-func (rp *refParallel) minNext() (Time, bool) {
-	var floor Time
-	found := false
-	for _, sh := range rp.shards {
-		if len(sh.events) > 0 {
-			if t := sh.events[0].at; !found || t < floor {
-				floor, found = t, true
-			}
-		}
-	}
-	return floor, found
-}
-
-func (rp *refParallel) run(deadline Time, bounded bool) bool {
-	for {
-		rp.merge()
-		floor, ok := rp.minNext()
-		if !ok {
-			return true
-		}
-		if bounded && floor > deadline {
-			for _, sh := range rp.shards {
-				if sh.now < deadline {
-					sh.now = deadline
-				}
-			}
-			return false
-		}
-		end := floor + rp.lookahead - 1
-		if bounded && end > deadline {
-			end = deadline
-		}
-		rp.windows++
-		for _, sh := range rp.shards {
-			sh.RunUntil(end)
-		}
-	}
-}
-
-func (rp *refParallel) Run() Time { rp.run(0, false); return rp.Now() }
-func (rp *refParallel) RunUntil(deadline Time) bool {
-	if deadline < rp.Now() {
-		return rp.Pending() == 0
-	}
-	return rp.run(deadline, true)
-}
-func (rp *refParallel) Now() Time {
-	var t Time
-	for _, sh := range rp.shards {
-		if sh.now > t {
-			t = sh.now
-		}
-	}
-	return t
-}
-func (rp *refParallel) ShardNow(i int) Time { return rp.shards[i].Now() }
-func (rp *refParallel) Executed() uint64 {
-	var n uint64
-	for _, sh := range rp.shards {
-		n += sh.nRun
-	}
-	return n
-}
-func (rp *refParallel) Pending() int {
-	n := 0
-	for _, sh := range rp.shards {
-		n += sh.Pending()
-	}
-	for _, ob := range rp.outbox {
-		n += len(ob)
-	}
-	return n
-}
-func (rp *refParallel) Cross() uint64 { return rp.crossN }
-
-// gEntry is one global-trace record: which shard ran which op at what
-// time. Only serial executions (lockstep, flat reference) record it.
-type gEntry struct {
-	shard int
-	id    int
-	at    Time
-}
-
-// pInterp replays a multi-shard opcode program. The op stream is split
-// round-robin into per-shard streams at seed time, and every mutable
-// interpreter cell (pc, id counter, trace) is per-shard, so execution
-// is race-free and deterministic even when windowed shards run on
-// concurrent goroutines. Cross-shard ops consume the destination
-// shard's stream on delivery, exercising sends at exactly the lookahead
-// bound and above it.
-type pInterp struct {
-	me        multiEngine
-	n         int
-	lookahead Time
-	streams   [][]byte
-	pcs       []int
-	nextID    []int
-	traces    [][]traceEntry
-	global    *[]gEntry
-}
-
-func (in *pInterp) exec(shard int) bool {
-	s := in.streams[shard]
-	if in.pcs[shard] >= len(s) {
-		return false
-	}
-	op := s[in.pcs[shard]]
-	in.pcs[shard]++
-	var val byte
-	if in.pcs[shard] < len(s) {
-		val = s[in.pcs[shard]]
-		in.pcs[shard]++
-	}
-	id := shard<<20 | in.nextID[shard]
-	in.nextID[shard]++
-	record := func(sh int, now Time, asID int) {
-		in.traces[sh] = append(in.traces[sh], traceEntry{id: asID, at: now})
-		if in.global != nil {
-			*in.global = append(*in.global, gEntry{shard: sh, id: asID, at: now})
-		}
-		in.exec(sh)
-	}
-	eng := in.me.sched(shard)
-	switch op % 8 {
-	case 0: // small constant delay — bucket hot path
-		eng.Schedule(Time(val%64), func(now Time) { record(shard, now, id) })
-	case 1: // zero delay — same-cycle FIFO
-		eng.Schedule(0, func(now Time) { record(shard, now, id) })
-	case 2: // far future — crosses the ring window into the heap
-		eng.Schedule(ringSize+Time(val)*13, func(now Time) { record(shard, now, id) })
-	case 3: // absolute time, sometimes in the past (clamps to now)
-		eng.At(Time(val)*7, func(now Time) { record(shard, now, id) })
-	case 4: // thunk variant
-		eng.ScheduleThunk(Time(val%100), func() { record(shard, in.me.sched(shard).Now(), id) })
-	case 5: // arg variant
-		eng.ScheduleArg(Time(val%100), func(now Time, arg int) { record(shard, now, arg) }, id)
-	case 6: // cross-shard send at exactly the lookahead bound
-		dst := (shard + 1 + int(val)%(in.n-1)) % in.n
-		in.me.send(shard, dst, in.lookahead, func() { record(dst, in.me.sched(dst).Now(), id) })
-	case 7: // cross-shard send above the bound
-		dst := (shard + 1 + int(val)%(in.n-1)) % in.n
-		in.me.send(shard, dst, in.lookahead+Time(val%97), func() { record(dst, in.me.sched(dst).Now(), id) })
-	}
-	return true
-}
-
-// runMultiProgram seeds each shard, then drains the engine in uneven
-// RunUntil slices — including deadlines in the past, which must execute
-// nothing — before the final Run, mirroring runProgram.
-func runMultiProgram(me multiEngine, n int, lookahead Time, ops []byte, global *[]gEntry) *pInterp {
-	in := &pInterp{
-		me: me, n: n, lookahead: lookahead,
-		streams: make([][]byte, n), pcs: make([]int, n), nextID: make([]int, n),
-		traces: make([][]traceEntry, n), global: global,
-	}
-	for i, b := range ops {
-		in.streams[i%n] = append(in.streams[i%n], b)
-	}
-	for i := 0; i < 2*n; i++ {
-		in.exec(i % n)
-	}
-	for d := Time(100); !me.RunUntil(d); d = d*3 + 41 {
-		me.RunUntil(d / 2)
-	}
-	me.RunUntil(0)
-	me.Run()
-	return in
-}
-
-// diffShardTraces fails on the first per-shard divergence between two
-// engines' observations.
-func diffShardTraces(t *testing.T, ops []byte, what string, got, want [][]traceEntry) {
-	t.Helper()
-	for s := range got {
-		n := len(got[s])
-		if len(want[s]) < n {
-			n = len(want[s])
-		}
-		for i := 0; i < n; i++ {
-			if got[s][i] != want[s][i] {
-				t.Fatalf("ops %x: %s: shard %d traces diverge at %d: got op %d @%d, want op %d @%d",
-					ops, what, s, i, got[s][i].id, got[s][i].at, want[s][i].id, want[s][i].at)
-			}
-		}
-		if len(got[s]) != len(want[s]) {
-			t.Fatalf("ops %x: %s: shard %d trace lengths diverge: got %d events, want %d",
-				ops, what, s, len(got[s]), len(want[s]))
-		}
-	}
-}
-
+// checkParallelEquivalence runs 2–4 engines at once, each on its own
+// goroutine and each replaying a different rotation of ops, and
+// requires every engine's trace, clock, and accounting to equal the
+// reference engine's replay of the same rotation. Engines running in
+// parallel is how the harness uses this package — every simulation
+// owns one Engine, and exp.Runner runs Options.Parallelism of them
+// concurrently — so engines may share no mutable state: a handler
+// bound on one engine, or a closure waiting in its side table, must
+// never run on or be overwritten by another. A shared table or pool
+// would interleave the engines' programs and diverge from the
+// reference here, and shows up as a data race under -race.
 func checkParallelEquivalence(t *testing.T, ops []byte) {
 	t.Helper()
-	n := 2 + len(ops)%3                // 2–4 shards
-	lookahead := Time(1 + len(ops)%13) // includes the minimum legal bound 1
-
-	// Lockstep mode vs a single flat reference engine: the global
-	// (time, seq) schedule must be identical, shard boundaries and all.
-	var peGlobal, refGlobal []gEntry
-	ls := peDriver{NewLockstep(n, lookahead)}
-	fr := &flatRef{eng: NewReference(), lookahead: lookahead}
-	lsIn := runMultiProgram(ls, n, lookahead, ops, &peGlobal)
-	frIn := runMultiProgram(fr, n, lookahead, ops, &refGlobal)
-	for i := range peGlobal {
-		if i >= len(refGlobal) || peGlobal[i] != refGlobal[i] {
-			t.Fatalf("ops %x: lockstep global trace diverges from flat reference at %d", ops, i)
+	n := 2 + len(ops)%3
+	type outcome struct {
+		trace []traceEntry
+		now   Time
+		exec  uint64
+		pend  int
+	}
+	progs := make([][]byte, n)
+	for i := range progs {
+		k := 0
+		if len(ops) > 0 {
+			k = i * len(ops) / n
 		}
+		progs[i] = append(append([]byte{}, ops[k:]...), ops[:k]...)
 	}
-	if len(peGlobal) != len(refGlobal) {
-		t.Fatalf("ops %x: lockstep global trace length %d, flat reference %d", ops, len(peGlobal), len(refGlobal))
+	got := make([]outcome, n)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := range progs {
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			eng := New()
+			start.Wait() // release all engines together so they overlap
+			tr, now, exec, pend := runProgram(eng, progs[i])
+			got[i] = outcome{tr, now, exec, pend}
+		}(i)
 	}
-	diffShardTraces(t, ops, "lockstep vs flat", lsIn.traces, frIn.traces)
-	if ls.Now() != fr.Now() || ls.Executed() != fr.Executed() || ls.Cross() != fr.Cross() {
-		t.Fatalf("ops %x: lockstep state (now %d, exec %d, cross %d) vs flat reference (now %d, exec %d, cross %d)",
-			ops, ls.Now(), ls.Executed(), ls.Cross(), fr.Now(), fr.Executed(), fr.Cross())
-	}
-	if ls.Pending() != 0 || fr.Pending() != 0 {
-		t.Fatalf("ops %x: events left pending after drain: lockstep %d, flat reference %d", ops, ls.Pending(), fr.Pending())
-	}
-
-	// Windowed mode vs the naive windowed oracle over reference shards.
-	w1 := peDriver{NewParallel(n, lookahead)}
-	rp := newRefParallel(n, lookahead)
-	w1In := runMultiProgram(w1, n, lookahead, ops, nil)
-	rpIn := runMultiProgram(rp, n, lookahead, ops, nil)
-	diffShardTraces(t, ops, "windowed vs reference oracle", w1In.traces, rpIn.traces)
-	for i := 0; i < n; i++ {
-		if w1.ShardNow(i) != rp.ShardNow(i) {
-			t.Fatalf("ops %x: shard %d final clock %d, oracle %d", ops, i, w1.ShardNow(i), rp.ShardNow(i))
+	start.Done()
+	done.Wait()
+	for i, prog := range progs {
+		rt, rNow, rExec, _ := runProgram(NewReference(), prog)
+		diffTraces(t, prog, got[i].trace, rt)
+		if got[i].now != rNow || got[i].exec != rExec {
+			t.Fatalf("ops %x: engine %d of %d ended at clock %d with %d executed, reference %d and %d",
+				prog, i, n, got[i].now, got[i].exec, rNow, rExec)
 		}
-	}
-	if w1.Executed() != rp.Executed() || w1.Cross() != rp.Cross() {
-		t.Fatalf("ops %x: windowed (exec %d, cross %d) vs oracle (exec %d, cross %d)",
-			ops, w1.Executed(), w1.Cross(), rp.Executed(), rp.Cross())
-	}
-	if w1.pe.Windows() != rp.windows {
-		t.Fatalf("ops %x: windowed executed %d windows, oracle %d", ops, w1.pe.Windows(), rp.windows)
-	}
-	if w1.Pending() != 0 || rp.Pending() != 0 {
-		t.Fatalf("ops %x: events left pending after drain: windowed %d, oracle %d", ops, w1.Pending(), rp.Pending())
-	}
-
-	// Concurrent window execution (goroutine per shard) must produce the
-	// same schedule as the sequential window execution above.
-	w4pe := NewParallel(n, lookahead)
-	w4pe.SetWorkers(4)
-	w4 := peDriver{w4pe}
-	w4In := runMultiProgram(w4, n, lookahead, ops, nil)
-	diffShardTraces(t, ops, "workers=4 vs workers=1", w4In.traces, w1In.traces)
-	if w4.Executed() != w1.Executed() || w4.Cross() != w1.Cross() {
-		t.Fatalf("ops %x: workers=4 (exec %d, cross %d) vs workers=1 (exec %d, cross %d)",
-			ops, w4.Executed(), w4.Cross(), w1.Executed(), w1.Cross())
+		if got[i].pend != 0 {
+			t.Fatalf("ops %x: engine %d of %d left %d events pending", prog, i, n, got[i].pend)
+		}
 	}
 }
 
-// TestParallelEquivalence differential-tests the ParallelEngine's two
-// modes against their ReferenceEngine-based oracles on a deterministic
-// battery of random multi-shard programs: lockstep must match a flat
-// serial reference exactly (the byte-identity claim the golden tier
-// rests on), windowed must match the naive window protocol over
-// reference shards, and concurrent window execution must match
-// sequential.
+// TestParallelEquivalence differential-tests engines running in
+// parallel against the reference heap on a deterministic battery of
+// random event programs: however the goroutines interleave, each
+// engine must produce exactly the serial reference's execution.
 func TestParallelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rounds := 150
@@ -390,9 +79,9 @@ func TestParallelEquivalence(t *testing.T) {
 	}
 }
 
-// FuzzParallelEquivalence lets the fuzzer hunt for a multi-shard
-// program on which the ParallelEngine and its oracles disagree. Run
-// longer with: go test -fuzz=FuzzParallelEquivalence ./internal/sim
+// FuzzParallelEquivalence lets the fuzzer hunt for a program on which
+// engines running in parallel disagree with the reference. Run longer
+// with: go test -fuzz=FuzzParallelEquivalence ./internal/sim
 func FuzzParallelEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{6, 0, 7, 50, 6, 1})

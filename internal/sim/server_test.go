@@ -166,11 +166,12 @@ func TestPropertyCompletionMonotonic(t *testing.T) {
 	}
 }
 
-// TestTransferArgCompletion pins the pooled-continuation transfer: its
-// handler runs exactly at the completion time TransferArg returns
-// (serialization behind a backlog, then latency), with the argument
-// delivered intact, and a zero handler queues no event at all.
-func TestTransferArgCompletion(t *testing.T) {
+// TestTransferArgMatchesTransfer pins that the pooled-continuation
+// transfer's handler runs exactly when the transfer it models completes
+// — the time TransferArg returns: serialization behind a backlog, then
+// latency — with the argument delivered intact, and that a zero handler
+// queues no event at all.
+func TestTransferArgMatchesTransfer(t *testing.T) {
 	e := New()
 	s := NewServer(e, 2, 7)
 	if got := s.TransferArg(64, 0, 0); got != 39 { // backlog: busy until 32
