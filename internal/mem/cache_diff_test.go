@@ -13,7 +13,10 @@ import (
 // sequences and fails on the first step where any return value, victim,
 // CountValid result or statistics counter differs. The geometries cover
 // direct-mapped, 4-way and 16-way caches and a single-set cache; line
-// addresses include 0, whose packed tag is 1.
+// addresses include 0, whose packed tag is 1. Every multi-way geometry
+// must see partitioned Fills that meet invalid ways inside their class
+// group and ones that meet them only outside it: the victim pass must
+// take the first, and skip the second for the group's LRU way.
 func TestPackedCacheMatchesReference(t *testing.T) {
 	geoms := []struct {
 		name        string
@@ -25,15 +28,55 @@ func TestPackedCacheMatchesReference(t *testing.T) {
 		{"one-set", 8 * arch.LineSize, 8},
 	}
 	for _, g := range geoms {
+		var cov victimCoverage
 		for seed := int64(1); seed <= 20; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", g.name, seed), func(t *testing.T) {
-				diffCaches(t, g.bytes, g.ways, seed, 3000)
+				c := diffCaches(t, g.bytes, g.ways, seed, 3000)
+				cov.inside += c.inside
+				cov.outside += c.outside
 			})
+		}
+		if g.ways > 1 && (cov.inside < 1000 || cov.outside < 1000) {
+			t.Errorf("%s: %d partitioned fills met an invalid way inside the class group and %d only outside it; want 1000 of each",
+				g.name, cov.inside, cov.outside)
 		}
 	}
 }
 
-func diffCaches(t *testing.T, bytes, ways int, seed int64, steps int) {
+// victimCoverage counts partitioned Fills of an absent line by where
+// the set's invalid ways were: inside counts fills with one inside the
+// class group, outside those with one outside the group but none in it.
+type victimCoverage struct{ inside, outside int }
+
+// note classifies a Fill of l in class cl against the reference state
+// before the Fill runs.
+func (v *victimCoverage) note(c *refCache, l arch.LineID, cl Class) {
+	if !c.partition || c.Peek(l) {
+		return
+	}
+	lo, hi := 0, c.ways[ClassLocal]
+	if cl == ClassRemote {
+		lo, hi = hi, c.assoc
+	}
+	in, out := false, false
+	for i, ln := range c.set(l) {
+		if !ln.valid {
+			if i >= lo && i < hi {
+				in = true
+			} else {
+				out = true
+			}
+		}
+	}
+	switch {
+	case in:
+		v.inside++
+	case out:
+		v.outside++
+	}
+}
+
+func diffCaches(t *testing.T, bytes, ways int, seed int64, steps int) (cov victimCoverage) {
 	t.Helper()
 	got, want := NewCache(bytes, ways), newRefCache(bytes, ways)
 	if got.Sets() != want.Sets() || got.Assoc() != want.Assoc() {
@@ -60,6 +103,7 @@ func diffCaches(t *testing.T, bytes, ways int, seed int64, steps int) {
 		case k < 76:
 			dirty := rng.Intn(3) == 0
 			op = fmt.Sprintf("Fill(%d, %s, %v)", l, cl, dirty)
+			cov.note(want, l, cl)
 			gv, gok := got.Fill(l, cl, dirty)
 			wv, wok := want.Fill(l, cl, dirty)
 			g, w = [2]any{gv, gok}, [2]any{wv, wok}
@@ -116,4 +160,5 @@ func diffCaches(t *testing.T, bytes, ways int, seed int64, steps int) {
 			}
 		}
 	}
+	return cov
 }

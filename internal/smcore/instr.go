@@ -22,8 +22,10 @@ const (
 
 // Instr is one warp-level instruction: Comp cycles of compute work
 // followed by an optional coalesced memory operation touching Lines.
-// The Lines slice is owned by the producing stream and is valid until
-// the next call to Next.
+// The SM owns the instruction and lends its line buffer to the stream:
+// Lines arrives as an empty slice over that buffer, and Next appends to
+// it (or points Lines at memory the stream owns). Lines is read only
+// while the SM issues the instruction, before the next call to Next.
 type Instr struct {
 	Comp  uint32
 	Op    MemOp
@@ -31,7 +33,8 @@ type Instr struct {
 }
 
 // InstrStream produces the instruction sequence of one warp. Next fills
-// in and reports false when the warp has retired its last instruction.
+// in, appending the instruction's lines to in.Lines[:0], and reports
+// false when the warp has retired its last instruction.
 type InstrStream interface {
 	Next(in *Instr) bool
 }

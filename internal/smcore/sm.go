@@ -1,6 +1,7 @@
 package smcore
 
 import (
+	"repro/internal/arch"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -15,13 +16,16 @@ const (
 )
 
 type warpSlot struct {
-	state   warpState
-	stream  InstrStream
-	instr   Instr
-	hasInst bool
-	cta     int
-	queued  bool // present in the ready ring (or is the greedy current)
+	state  warpState
+	stream InstrStream
+	comp   uint32 // compute cycles of the last issued instruction
+	cta    int
+	queued bool // present in the ready ring (or is the greedy current)
 }
+
+// lineBufCap sizes the SM's line buffer for the widest instruction the
+// workload generator issues, so Next never has to grow it.
+const lineBufCap = 48
 
 // SM is one streaming multiprocessor: an in-order core multiplexing up
 // to maxWarps resident warps with a greedy-then-round-robin scheduler.
@@ -47,6 +51,13 @@ type SM struct {
 	nCTAs    int
 	ctaLeft  map[int]int // warps still live per resident CTA
 	onCTADne func(smID, ctaID int)
+
+	// in receives each issued instruction. Its lines live in lines, the
+	// one buffer the SM lends every stream's Next: the memory port
+	// consumes them before execute returns, so the buffer is free again
+	// for the next warp's instruction.
+	in    Instr
+	lines []arch.LineID
 
 	// Handlers bound once at construction, so the per-cycle issue loop
 	// and per-instruction warp wakeups schedule without allocating a
@@ -80,6 +91,7 @@ func NewSM(eng *sim.Engine, port MemPort, id, maxWarps, maxCTAs, issueWidth int,
 		current:    -1,
 		ctaLeft:    make(map[int]int, maxCTAs),
 		onCTADne:   onCTADone,
+		lines:      make([]arch.LineID, 0, lineBufCap),
 	}
 	s.free = make([]int, maxWarps)
 	for i := range s.free {
@@ -213,15 +225,13 @@ func (s *SM) anyReady() bool {
 // execute issues the next instruction of the warp in slot.
 func (s *SM) execute(now sim.Time, slot int) {
 	w := &s.warps[slot]
-	if !w.hasInst {
-		if !w.stream.Next(&w.instr) {
-			s.retire(slot)
-			return
-		}
-		w.hasInst = true
+	in := &s.in
+	in.Lines = s.lines[:0]
+	if !w.stream.Next(in) {
+		s.retire(slot)
+		return
 	}
-	in := &w.instr
-	w.hasInst = false
+	w.comp = in.Comp
 	s.Issued.Inc()
 
 	switch in.Op {
@@ -243,12 +253,12 @@ func (s *SM) execute(now sim.Time, slot int) {
 // attached compute overlaps the outstanding load on an in-order core,
 // so the warp is ready max(0, comp-latency)≈0 cycles later; the compute
 // is charged before re-readying to keep issue rates honest for
-// compute-heavy instructions. The issuing instruction stays resident in
-// the slot while the warp waits (a blocked warp cannot issue), so its
-// Comp field is read back here instead of travelling with the request.
+// compute-heavy instructions. The slot keeps the issuing instruction's
+// Comp while the warp waits (a blocked warp cannot issue), so it is read
+// back here instead of travelling with the request.
 func (s *SM) LoadDone(slot int) {
 	w := &s.warps[slot]
-	if comp := w.instr.Comp; comp > 1 {
+	if comp := w.comp; comp > 1 {
 		w.state = warpWaitComp
 		s.eng.ScheduleArg(sim.Time(comp), s.wakeEv, slot)
 		return

@@ -8,6 +8,7 @@ package vmm
 
 import (
 	"repro/internal/arch"
+	"repro/internal/linetab"
 	"repro/internal/stats"
 )
 
@@ -16,6 +17,13 @@ type Memory struct {
 	sockets int
 	policy  arch.MemPlacement
 	pages   pageTable
+
+	// lastPage (the page plus one; 0 = none) and lastHome memoize the
+	// latest first-touch lookup: a warp's coalesced lines mostly share a
+	// page, so Owner is usually asked for the page it just resolved.
+	// Preplacing clears the memo.
+	lastPage arch.PageID
+	lastHome arch.SocketID
 
 	// schedule is the weighted interleave round: a socket of weight w
 	// appears w times, round-major (one slot per socket with remaining
@@ -44,7 +52,7 @@ func New(sockets int, policy arch.MemPlacement) *Memory {
 func NewWeighted(sockets int, policy arch.MemPlacement, weights []int) *Memory {
 	m := &Memory{sockets: sockets, policy: policy}
 	if policy == arch.PlaceFirstTouch {
-		m.pages.init(1 << 12)
+		m.pages.Init(1 << 12)
 	}
 	if weights != nil {
 		if len(weights) != sockets {
@@ -95,7 +103,8 @@ func (m *Memory) Policy() arch.MemPlacement { return m.policy }
 // requester. Under first touch, an unmapped page is placed on the
 // requester's socket (on-demand migration from system memory). This is
 // the datapath's per-access lookup, so the first-touch table is
-// open-addressed rather than a Go map (see pageTable).
+// open-addressed rather than a Go map (see pageTable), and a first
+// touch finds and places the page in one probe walk.
 func (m *Memory) Owner(l arch.LineID, requester arch.SocketID) arch.SocketID {
 	if m.sockets == 1 {
 		return 0
@@ -107,12 +116,15 @@ func (m *Memory) Owner(l arch.LineID, requester arch.SocketID) arch.SocketID {
 		return m.interleave(uint64(arch.PageOfLine(l)))
 	default: // PlaceFirstTouch
 		p := arch.PageOfLine(l)
-		if s, ok := m.pages.get(p); ok {
-			return s
+		if p+1 == m.lastPage {
+			return m.lastHome
 		}
-		m.pages.put(p, requester)
-		m.Migrations.Inc()
-		return requester
+		i, placed := m.pages.FindOrInsert(p, requester)
+		m.lastPage, m.lastHome = p+1, *m.pages.Val(i)
+		if !placed {
+			m.Migrations.Inc()
+		}
+		return m.lastHome
 	}
 }
 
@@ -128,7 +140,7 @@ func (m *Memory) Peek(l arch.LineID) (arch.SocketID, bool) {
 	case arch.PlacePageInterleave:
 		return m.interleave(uint64(arch.PageOfLine(l))), true
 	default:
-		return m.pages.get(arch.PageOfLine(l))
+		return m.pages.Get(arch.PageOfLine(l))
 	}
 }
 
@@ -143,8 +155,9 @@ func (m *Memory) Preplace(start arch.Addr, size int64, s arch.SocketID) {
 	first := arch.PageOf(start)
 	last := arch.PageOf(start + arch.Addr(size-1))
 	for p := first; p <= last; p++ {
-		m.pages.put(p, s)
+		m.pages.Put(p, s)
 	}
+	m.lastPage = 0
 }
 
 // PreplaceInterleave pins the pages of [start, start+size) round-robin
@@ -157,135 +170,37 @@ func (m *Memory) PreplaceInterleave(start arch.Addr, size int64) {
 	first := arch.PageOf(start)
 	last := arch.PageOf(start + arch.Addr(size-1))
 	for p := first; p <= last; p++ {
-		m.pages.put(p, m.interleave(uint64(p-first)))
+		m.pages.Put(p, m.interleave(uint64(p-first)))
 	}
+	m.lastPage = 0
 }
 
 // MappedPages reports how many pages have a first-touch mapping.
-func (m *Memory) MappedPages() int { return m.pages.n }
+func (m *Memory) MappedPages() int { return m.pages.Len() }
 
 // DistributionOf reports, per socket, the fraction of mapped pages it
 // owns (first touch only; interleave policies are uniform by
 // construction). Useful for asserting locality in tests.
 func (m *Memory) DistributionOf() []float64 {
 	out := make([]float64, m.sockets)
-	if m.pages.n == 0 {
+	if m.pages.Len() == 0 {
 		return out
 	}
-	for i := range m.pages.entries {
-		if m.pages.entries[i].used {
-			out[m.pages.entries[i].val]++
-		}
+	for _, s := range m.pages.All() {
+		out[s]++
 	}
-	n := float64(m.pages.n)
+	n := float64(m.pages.Len())
 	for i := range out {
 		out[i] /= n
 	}
 	return out
 }
 
-// pageEntry is one first-touch mapping.
-type pageEntry struct {
-	key  arch.PageID
-	val  arch.SocketID
-	used bool
-}
-
-// pageTable is the first-touch page table: open addressing with linear
-// probing, Fibonacci hashing on the top bits, doubling at 3/4 load.
-// Pages are never unmapped, so there is no deletion. Compared to the Go
-// map it replaces, a warm lookup is one multiply plus a short probe run
-// with no hash-function call, and insertion never allocates outside the
-// amortized doubling. Nothing order-dependent ever iterates it
+// pageTable is the first-touch page table. Pages are never unmapped, and
+// Put overwrites (Preplace may re-pin a page). Compared to the Go map it
+// replaced, a warm lookup is one multiply plus a short probe over packed
+// keys with no hash-function call, and insertion never allocates outside
+// the amortized doubling. Nothing order-dependent ever iterates it
 // (DistributionOf sums per-socket counts), so probe layout cannot leak
 // into simulation behaviour.
-//
-// The probe/grow core intentionally mirrors gpu's mshrTable (which
-// additionally supports deletion and waiter chains); a fix to either
-// table's probing or resize logic almost certainly applies to both.
-type pageTable struct {
-	entries []pageEntry
-	shift   uint // 64 - log2(len(entries))
-	n       int
-}
-
-// pageFibMul is the 64-bit Fibonacci-hashing multiplier (same constant
-// as gpu's fibMul; the packages are peers, so it is re-declared).
-const pageFibMul = 0x9E3779B97F4A7C15
-
-func (t *pageTable) init(capacity int) {
-	c := 8
-	for c < capacity {
-		c <<= 1
-	}
-	t.entries = make([]pageEntry, c)
-	t.shift = uint(64 - pageLog2(c))
-	t.n = 0
-}
-
-func pageLog2(pow2 int) int {
-	b := 0
-	for pow2 > 1 {
-		pow2 >>= 1
-		b++
-	}
-	return b
-}
-
-func (t *pageTable) slotOf(key arch.PageID) int {
-	return int((uint64(key) * pageFibMul) >> t.shift)
-}
-
-// get reports the mapped socket of key, if present.
-func (t *pageTable) get(key arch.PageID) (arch.SocketID, bool) {
-	if len(t.entries) == 0 {
-		return 0, false
-	}
-	mask := len(t.entries) - 1
-	for i := t.slotOf(key); ; i = (i + 1) & mask {
-		e := &t.entries[i]
-		if !e.used {
-			return 0, false
-		}
-		if e.key == key {
-			return e.val, true
-		}
-	}
-}
-
-// put maps key to val, overwriting any existing mapping.
-func (t *pageTable) put(key arch.PageID, val arch.SocketID) {
-	if len(t.entries) == 0 {
-		t.init(8)
-	} else if 4*(t.n+1) > 3*len(t.entries) {
-		t.grow()
-	}
-	mask := len(t.entries) - 1
-	i := t.slotOf(key)
-	for t.entries[i].used {
-		if t.entries[i].key == key {
-			t.entries[i].val = val
-			return
-		}
-		i = (i + 1) & mask
-	}
-	t.entries[i] = pageEntry{key: key, val: val, used: true}
-	t.n++
-}
-
-func (t *pageTable) grow() {
-	old := t.entries
-	t.entries = make([]pageEntry, 2*len(old))
-	t.shift--
-	mask := len(t.entries) - 1
-	for i := range old {
-		if !old[i].used {
-			continue
-		}
-		j := t.slotOf(old[i].key)
-		for t.entries[j].used {
-			j = (j + 1) & mask
-		}
-		t.entries[j] = old[i]
-	}
-}
+type pageTable = linetab.Table[arch.PageID, arch.SocketID]

@@ -111,6 +111,31 @@ func TestPreplace(t *testing.T) {
 	}
 }
 
+// TestOwnerAfterRepin pins that Owner's memo of the page it resolved
+// last never outlives a Preplace or PreplaceInterleave that re-pins the
+// page, and that memo hits count no migrations.
+func TestOwnerAfterRepin(t *testing.T) {
+	m := New(4, arch.PlaceFirstTouch)
+	line := arch.LineID(3 * (arch.PageSize / arch.LineSize))
+	if got := m.Owner(line, 1); got != 1 {
+		t.Fatalf("first touch by socket 1 placed on %d", got)
+	}
+	if got := m.Owner(line+1, 2); got != 1 || m.Migrations.Value() != 1 {
+		t.Fatalf("same page from socket 2: owner %d, %d migrations; want 1, 1", got, m.Migrations.Value())
+	}
+	m.Preplace(0, 4*arch.PageSize, 3)
+	if got := m.Owner(line, 0); got != 3 {
+		t.Fatalf("after Preplace the page resolves to %d, want 3", got)
+	}
+	m.PreplaceInterleave(line.Addr(), arch.PageSize)
+	if got := m.Owner(line, 2); got != 0 {
+		t.Fatalf("after PreplaceInterleave the page resolves to %d, want 0", got)
+	}
+	if m.Migrations.Value() != 1 {
+		t.Fatalf("%d migrations, want 1", m.Migrations.Value())
+	}
+}
+
 func TestPreplaceInterleave(t *testing.T) {
 	m := New(4, arch.PlaceFirstTouch)
 	m.PreplaceInterleave(0, 8*arch.PageSize)
@@ -145,10 +170,10 @@ func TestDistribution(t *testing.T) {
 // the datapath relies on after the Go-map replacement.
 func TestPageTableGrowthAndOverwrite(t *testing.T) {
 	var pt pageTable
-	pt.init(8)
+	pt.Init(8)
 	ref := map[arch.PageID]arch.SocketID{}
 	put := func(p arch.PageID, s arch.SocketID) {
-		pt.put(p, s)
+		pt.Put(p, s)
 		ref[p] = s
 	}
 	// Sequential pages (the common streaming pattern), sparse strides,
@@ -162,25 +187,25 @@ func TestPageTableGrowthAndOverwrite(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		put(arch.PageID(i), arch.SocketID(3))
 	}
-	if pt.n != len(ref) {
-		t.Fatalf("table n=%d, ref %d", pt.n, len(ref))
+	if pt.Len() != len(ref) {
+		t.Fatalf("table n=%d, ref %d", pt.Len(), len(ref))
 	}
 	for p, want := range ref {
-		got, ok := pt.get(p)
+		got, ok := pt.Get(p)
 		if !ok || got != want {
 			t.Fatalf("page %d → (%d,%v), want (%d,true)", p, got, ok, want)
 		}
 	}
-	if _, ok := pt.get(arch.PageID(1 << 40)); ok {
+	if _, ok := pt.Get(arch.PageID(1 << 40)); ok {
 		t.Fatal("absent key found")
 	}
 	// Zero value works too (Preplace before any Owner call path).
 	var zero pageTable
-	if _, ok := zero.get(0); ok {
+	if _, ok := zero.Get(0); ok {
 		t.Fatal("zero-value table must be empty")
 	}
-	zero.put(7, 2)
-	if s, ok := zero.get(7); !ok || s != 2 {
+	zero.Put(7, 2)
+	if s, ok := zero.Get(7); !ok || s != 2 {
 		t.Fatal("zero-value table put/get broken")
 	}
 }

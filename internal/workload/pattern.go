@@ -125,13 +125,13 @@ func (p *phaseParams) chunkIndex(g int64) int64 {
 func (p *phaseParams) totalWarps() int { return p.ctas * p.warps }
 
 // stream is the instruction stream of one warp executing one phase.
+// It holds no line buffer: Next appends into the one the SM lends it.
 type stream struct {
 	p     *phaseParams
 	gwarp int64
 	iter  int
 	stage uint8 // 0: load step, 1: store step
 	r     rng
-	buf   [48]arch.LineID
 }
 
 func newStream(p *phaseParams, cta, warp int) *stream {
@@ -148,7 +148,7 @@ var _ smcore.InstrStream = (*stream)(nil)
 // Next implements smcore.InstrStream: each iteration issues an optional
 // coalesced load (own chunk + halo + shared lines) followed by an
 // optional coalesced store; compute cycles attach to the first
-// instruction of the iteration.
+// instruction of the iteration. The lines go into in.Lines[:0].
 func (s *stream) Next(in *smcore.Instr) bool {
 	p := s.p
 	for {
@@ -158,31 +158,28 @@ func (s *stream) Next(in *smcore.Instr) bool {
 		switch s.stage {
 		case 0:
 			s.stage = 1
-			lines := s.loadLines()
-			if len(lines) == 0 {
+			in.Lines = s.loadLines(in.Lines[:0])
+			if len(in.Lines) == 0 {
 				if p.storeLines == 0 {
 					// Pure compute iteration.
 					s.advance()
 					in.Comp = p.compute
 					in.Op = smcore.OpNone
-					in.Lines = nil
 					return true
 				}
 				continue // straight to the store step
 			}
 			in.Comp = p.compute
 			in.Op = smcore.OpLoad
-			in.Lines = lines
 			return true
 		default:
-			lines := s.storeTargets()
+			in.Lines = s.storeTargets(in.Lines[:0])
 			hadLoad := p.localLines+p.haloLines+p.sharedLines > 0
 			s.advance()
-			if len(lines) == 0 {
+			if len(in.Lines) == 0 {
 				continue
 			}
 			in.Op = smcore.OpStore
-			in.Lines = lines
 			if hadLoad {
 				in.Comp = 0 // compute was charged on the load
 			} else {
@@ -198,16 +195,15 @@ func (s *stream) advance() {
 	s.stage = 0
 }
 
-func (s *stream) loadLines() []arch.LineID {
+// loadLines appends the iteration's load lines to buf, deduplicated.
+func (s *stream) loadLines(buf []arch.LineID) []arch.LineID {
 	p := s.p
-	n := 0
 	it := int64(s.iter)
 	if p.localLines > 0 && p.chunkLines > 0 {
 		base := p.offsetLines + p.chunkIndex(s.gwarp)*p.chunkLines
 		for j := 0; j < p.localLines; j++ {
 			off := (it*int64(p.localLines) + int64(j)) % p.chunkLines
-			s.buf[n] = p.in.line(base + off)
-			n++
+			buf = append(buf, p.in.line(base+off))
 		}
 	}
 	if p.haloLines > 0 && p.chunkLines > 0 {
@@ -215,8 +211,7 @@ func (s *stream) loadLines() []arch.LineID {
 		base := p.offsetLines + p.chunkIndex(nb)*p.chunkLines
 		for j := 0; j < p.haloLines; j++ {
 			off := (it + int64(j)) % p.chunkLines
-			s.buf[n] = p.in.line(base + off)
-			n++
+			buf = append(buf, p.in.line(base+off))
 		}
 	}
 	if p.sharedLines > 0 {
@@ -238,36 +233,33 @@ func (s *stream) loadLines() []arch.LineID {
 			default:
 				idx = int64(s.r.next() % uint64(sl))
 			}
-			s.buf[n] = p.shared.line(idx)
-			n++
+			buf = append(buf, p.shared.line(idx))
 		}
 	}
-	return dedupe(s.buf[:n])
+	return dedupe(buf)
 }
 
-func (s *stream) storeTargets() []arch.LineID {
+// storeTargets appends the iteration's store lines to buf, deduplicated.
+func (s *stream) storeTargets(buf []arch.LineID) []arch.LineID {
 	p := s.p
 	if p.storeLines == 0 {
-		return nil
+		return buf
 	}
-	n := 0
 	it := int64(s.iter)
 	if p.gather {
 		gl := p.gather2.Lines()
 		for j := 0; j < p.storeLines; j++ {
 			idx := (s.gwarp + int64(j+1)*int64(p.totalWarps()) + it) % gl
-			s.buf[n] = p.gather2.line(idx)
-			n++
+			buf = append(buf, p.gather2.line(idx))
 		}
 	} else if p.outChunkLines > 0 {
 		base := p.chunkIndex(s.gwarp) * p.outChunkLines
 		for j := 0; j < p.storeLines; j++ {
 			off := (it*int64(p.storeLines) + int64(j)) % p.outChunkLines
-			s.buf[n] = p.out.line(base + off)
-			n++
+			buf = append(buf, p.out.line(base+off))
 		}
 	}
-	return dedupe(s.buf[:n])
+	return dedupe(buf)
 }
 
 // dedupe removes duplicate lines in place (coalescing guarantees one
