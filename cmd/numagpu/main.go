@@ -28,9 +28,9 @@
 //	               rendered locally, byte-identical to a local run.
 //	               Raise -j to the cluster's total worker window to
 //	               keep a multi-worker fabric busy
-//	-follow        render one line per completed run on stderr as
+//	-follow, -v    write one line per completed run on stderr as
 //	               results land (workload, how it resolved — simulated,
-//	               cached, remote, coalesced — and cycles). Stdout is
+//	               cached or remote — and cycles). Stdout is
 //	               untouched: final tables stay byte-identical
 //	-obs-dir dir   enable the observability layer: write each run's
 //	               time series (series.csv + series.json) into
@@ -48,7 +48,6 @@
 //	               comparison against the committed fixtures
 //	-cpuprofile f  write a CPU profile of the run to f
 //	-memprofile f  write a heap profile (after GC) to f on exit
-//	-v             per-run progress on stderr
 //
 // See docs/EXPERIMENTS.md for what each experiment reproduces and the
 // meaning of its summary keys. The long-running numagpud daemon
@@ -72,7 +71,6 @@ import (
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -95,7 +93,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "quick mode (iterscale 0.25)")
 	parallel := fs.Int("j", runtime.GOMAXPROCS(0), "simulations to run in parallel")
 	remote := fs.String("remote", "", "numagpud coordinator URL: execute simulations on the sweep fabric")
-	follow := fs.Bool("follow", false, "render per-run completions on stderr as results land")
+	follow := fs.Bool("follow", false, "write one line per completed run on stderr as results land")
+	fs.BoolVar(follow, "v", false, "same as -follow")
 	topoPath := fs.String("topology", "", "topology JSON file replacing the synthesized crossbar (docs/TOPOLOGY.md)")
 	validate := fs.Bool("validate", false, "with -topology: validate the file, print its canonical encoding, and exit")
 	dumpPreset := fs.String("dump-topology", "", "print the effective topology of this preset (base|traditional|numa-aware|monolithic) and exit")
@@ -106,7 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	golden := fs.Bool("golden", false, "print each experiment in the golden-master fixture format")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
-	verbose := fs.Bool("v", false, "per-run progress on stderr")
 	fs.Usage = func() { usage(fs, stderr) }
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -186,18 +184,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *quick {
 		opts.IterScale = 0.25
 	}
-	if *verbose {
-		opts.Progress = stderr
-	}
 	if *remote != "" {
 		opts.Backend = service.NewFabricClient(*remote)
 	}
 	if *follow {
 		// Per-run completions stream to stderr; stdout (tables, JSON,
 		// golden output) stays byte-identical with or without the flag.
-		opts.OnResult = func(key string, res core.Result, src exp.RunSource) {
-			fmt.Fprintf(stderr, "done %-28s %-10s %12d cycles\n", res.Name, src, res.Cycles)
-		}
+		opts.OnResult = exp.RunLog(stderr)
 	}
 	var obsMu sync.Mutex
 	var obsErr error

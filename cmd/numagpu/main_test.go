@@ -168,6 +168,17 @@ func TestRunFollowOutput(t *testing.T) {
 	}
 }
 
+// TestRunVerboseIsFollow: -v is -follow under its older name, so the
+// two write the same per-run lines.
+func TestRunVerboseIsFollow(t *testing.T) {
+	args := []string{"-divisor", "16", "-iterscale", "0.1", "-j", "1", "-golden", "tenancy"}
+	_, _, follow := runCLI(t, append([]string{"-follow"}, args...)...)
+	_, _, verbose := runCLI(t, append([]string{"-v"}, args...)...)
+	if !strings.Contains(verbose, " simulated ") || verbose != follow {
+		t.Fatalf("-v and -follow logged different lines:\n--- -follow ---\n%s\n--- -v ---\n%s", follow, verbose)
+	}
+}
+
 func TestRunJSONDeterministic(t *testing.T) {
 	_, a, _ := runCLI(t, "-json", "table2")
 	_, b, _ := runCLI(t, "-json", "table2")
@@ -209,7 +220,7 @@ func TestRunShardedGoldenIdentical(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("local exit %d, want 0 (stderr: %s)", code, stderr)
 	}
-	runs := uint64(strings.Count(stderr, "ran "))
+	runs := uint64(strings.Count(stderr, " simulated "))
 	if runs == 0 {
 		t.Fatalf("local run simulated nothing (stderr: %s)", stderr)
 	}

@@ -35,7 +35,8 @@
 //	-workers n          concurrent jobs (default 2)
 //	-lease-ttl d        declare a fabric worker dead after this long
 //	                    without a poll (default 15s)
-//	-v                  mirror per-run progress to stderr
+//	-v                  write one line per completed run to stderr
+//	                    (workload, how it resolved, cycles)
 //
 // Worker mode:
 //
@@ -106,7 +107,7 @@ func main() {
 	coordURL := flag.String("coordinator-url", "", "coordinator base URL (worker mode)")
 	window := flag.Int("window", runtime.GOMAXPROCS(0), "worker max in-flight simulations")
 	workerName := flag.String("worker-name", "", "worker display name (default host-pid)")
-	verbose := flag.Bool("v", false, "mirror per-run progress to stderr")
+	verbose := flag.Bool("v", false, "write one line per completed run to stderr")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "usage: numagpud [flags]\n\nflags:\n")
@@ -156,6 +157,9 @@ func main() {
 	if *quick {
 		opts.IterScale = 0.25
 	}
+	if *verbose {
+		opts.OnResult = exp.RunLog(os.Stderr)
+	}
 	cfg := service.Config{
 		Options:     opts,
 		CacheDir:    *cacheDir,
@@ -164,9 +168,6 @@ func main() {
 		Workers:     *workers,
 		QueueDepth:  *maxQueue,
 		LeaseTTL:    *leaseTTL,
-	}
-	if *verbose {
-		cfg.Mirror = os.Stderr
 	}
 	srv, err := service.New(cfg)
 	if err != nil {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/smcore"
-	"repro/internal/stats"
 	"repro/internal/vmm"
 	"repro/internal/xlink"
 )
@@ -52,7 +51,6 @@ type System struct {
 
 	balancers   []*xlink.Balancer
 	partitions  []*gpu.PartitionController
-	profiler    *linkProfiler
 	obsc        *obs.Collector // nil unless cfg.Obs requests observation
 	tr          *obsTrace      // nil unless cfg.Obs.Trace
 	rtx         []remoteTx     // remote round-trip pool (see remoteTx)
@@ -192,6 +190,10 @@ func (s *System) Socket(i int) *gpu.Socket { return s.sockets[i] }
 
 // Fabric exposes the interconnect (nil for single-socket systems).
 func (s *System) Fabric() *xlink.Fabric { return s.fabric }
+
+// KernelLaunches reports the cycle at which each kernel launched, in
+// launch order: Figure 5's kernel markers. Complete after Run.
+func (s *System) KernelLaunches() []sim.Time { return s.kernelMarks }
 
 // ---------------------------------------------------------------------
 // gpu.Remote implementation: traffic between sockets.
@@ -384,9 +386,6 @@ func (s *System) startPolicies() {
 			s.partitions = append(s.partitions, p)
 		}
 	}
-	if s.profiler != nil {
-		s.profiler.start(s.eng)
-	}
 	if s.obsc != nil {
 		s.obsc.Start()
 	}
@@ -398,9 +397,6 @@ func (s *System) stopPolicies() {
 	}
 	for _, p := range s.partitions {
 		p.Stop()
-	}
-	if s.profiler != nil {
-		s.profiler.stop()
 	}
 	if s.obsc != nil {
 		s.obsc.Stop()
@@ -497,76 +493,6 @@ func (s *System) onSocketDone(id arch.SocketID) {
 	s.kernelTimes = append(s.kernelTimes, uint64(s.eng.Now()-s.kernelStart))
 	s.kernelIdx++
 	s.launchNext()
-}
-
-// ---------------------------------------------------------------------
-// Link profiling (Figure 5).
-// ---------------------------------------------------------------------
-
-// LinkProfile is the recorded utilization time series of one physical
-// link of the fabric, normalized to the design per-direction capacity.
-// In the synthesized crossbar, link i is socket i's port link; explicit
-// topologies may have more links than sockets (Label names each one).
-type LinkProfile struct {
-	Link    int
-	Label   string
-	Egress  stats.Series
-	Ingress stats.Series
-}
-
-type linkProfiler struct {
-	sys    *System
-	window sim.Time
-	ticker *sim.Ticker
-	prof   []LinkProfile
-}
-
-// EnableLinkProfile records per-window utilization for every physical
-// link (call before Run). window is the sampling period in cycles.
-func (s *System) EnableLinkProfile(window int) {
-	if window < 1 {
-		window = 1
-	}
-	p := &linkProfiler{sys: s, window: sim.Time(window)}
-	if s.fabric != nil {
-		for i := 0; i < s.fabric.NumLinks(); i++ {
-			p.prof = append(p.prof, LinkProfile{Link: i, Label: s.fabric.LinkAt(i).Name()})
-		}
-	}
-	s.profiler = p
-}
-
-func (p *linkProfiler) start(eng *sim.Engine) {
-	if p.sys.fabric == nil {
-		return
-	}
-	for i := range p.prof {
-		p.sys.fabric.LinkAt(i).ResetProfileWindow(eng.Now())
-	}
-	p.ticker = sim.NewTicker(eng, p.window, func(now sim.Time) {
-		for i := range p.prof {
-			l := p.sys.fabric.LinkAt(i)
-			p.prof[i].Egress.Record(now, l.ProfileUtilization(xlink.Egress, now))
-			p.prof[i].Ingress.Record(now, l.ProfileUtilization(xlink.Ingress, now))
-			l.ResetProfileWindow(now)
-		}
-	})
-	p.ticker.Start()
-}
-
-func (p *linkProfiler) stop() {
-	if p.ticker != nil {
-		p.ticker.Stop()
-	}
-}
-
-// LinkProfiles returns the recorded profiles (after Run) along with the
-// kernel launch times for Figure 5's vertical markers.
-func (s *System) LinkProfiles() ([]LinkProfile, []sim.Time) {
-	if s.profiler == nil {
-		return nil, s.kernelMarks
-	}
-	return s.profiler.prof, s.kernelMarks
 }
 
 // ---------------------------------------------------------------------

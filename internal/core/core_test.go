@@ -73,8 +73,7 @@ func TestKernelSequenceAndMarks(t *testing.T) {
 			t.Fatalf("kernel %d took zero cycles", i)
 		}
 	}
-	_, marks := sys.LinkProfiles()
-	if len(marks) != 3 {
+	if marks := sys.KernelLaunches(); len(marks) != 3 {
 		t.Fatalf("kernel marks %d, want 3", len(marks))
 	}
 }

@@ -5,32 +5,46 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/workload"
 	"repro/internal/xlink"
 )
 
-// TestLinkProfileAlignment: all sockets' profiles sample the same
-// window boundaries, and kernel marks fall within the run.
+// TestLinkProfileAlignment: every link's utilization series samples
+// the same window boundaries, one per sampling period, and kernel
+// launch marks fall within the run.
 func TestLinkProfileAlignment(t *testing.T) {
 	spec, _ := workload.ByName("HPC-HPGMG-UVM")
 	cfg := arch.TestConfig()
+	cfg.Obs = arch.ObsSpec{Series: true, SamplePeriod: 400}
 	sys := core.MustSystem(cfg)
-	sys.EnableLinkProfile(400)
 	res := sys.Run(spec.Program(workload.Options{IterScale: 0.2, MaxCTAs: 64}))
-	profiles, marks := sys.LinkProfiles()
-	if len(profiles) != cfg.Sockets {
-		t.Fatalf("profiles %d, want %d", len(profiles), cfg.Sockets)
+	if links := sys.Fabric().NumLinks(); links != cfg.Sockets {
+		t.Fatalf("links %d, want %d", links, cfg.Sockets)
 	}
-	n := len(profiles[0].Egress.Samples)
-	for _, p := range profiles {
-		if len(p.Egress.Samples) != n || len(p.Ingress.Samples) != n {
-			t.Fatal("profile lengths differ across sockets")
+	eg0, _ := sys.Obs().LinkUtil(0)
+	n := eg0.Len()
+	if n == 0 {
+		t.Fatal("no utilization samples recorded")
+	}
+	for i := 0; i < cfg.Sockets; i++ {
+		eg, in := sys.Obs().LinkUtil(i)
+		if eg.Len() != n || in.Len() != n {
+			t.Fatal("profile lengths differ across links")
 		}
-		for i := range p.Egress.Samples {
-			if p.Egress.Samples[i].At != profiles[0].Egress.Samples[i].At {
-				t.Fatal("window boundaries differ across sockets")
+		for j := 0; j < n; j++ {
+			at := eg0.At(j).At
+			if eg.At(j).At != at || in.At(j).At != at {
+				t.Fatal("window boundaries differ across links")
+			}
+			if at != sim.Time(400*(j+1)) {
+				t.Fatalf("sample %d at cycle %d, want %d", j, at, 400*(j+1))
 			}
 		}
+	}
+	marks := sys.KernelLaunches()
+	if len(marks) != len(res.KernelCycles) {
+		t.Fatalf("kernel marks %d, want one per kernel (%d)", len(marks), len(res.KernelCycles))
 	}
 	for _, m := range marks {
 		if uint64(m) > res.Cycles {

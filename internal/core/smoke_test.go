@@ -89,27 +89,27 @@ func TestSmokeScheduling(t *testing.T) {
 }
 
 // TestSmokeMultiKernel runs a phased workload with gather traffic and
-// checks that kernels and link profiles are recorded.
+// checks that kernels, their launch marks and the per-link utilization
+// series are recorded.
 func TestSmokeMultiKernel(t *testing.T) {
 	spec, ok := workload.ByName("HPC-HPGMG-UVM")
 	if !ok {
 		t.Fatal("missing workload")
 	}
 	cfg := arch.TestConfig()
+	cfg.Obs = arch.ObsSpec{Series: true, SamplePeriod: 500}
 	sys := core.MustSystem(cfg)
-	sys.EnableLinkProfile(500)
 	res := sys.Run(spec.Program(testOptions()))
 	if len(res.KernelCycles) != 10 {
 		t.Fatalf("expected 10 kernel launches, got %d", len(res.KernelCycles))
 	}
-	prof, marks := sys.LinkProfiles()
-	if len(prof) != cfg.Sockets {
-		t.Fatalf("expected %d link profiles, got %d", cfg.Sockets, len(prof))
+	if links := sys.Fabric().NumLinks(); links != cfg.Sockets {
+		t.Fatalf("expected %d links, got %d", cfg.Sockets, links)
 	}
-	if len(marks) != 10 {
+	if marks := sys.KernelLaunches(); len(marks) != 10 {
 		t.Fatalf("expected 10 kernel marks, got %d", len(marks))
 	}
-	if len(prof[0].Egress.Samples) == 0 {
-		t.Fatal("no profile samples recorded")
+	if eg, in := sys.Obs().LinkUtil(0); eg.Len() == 0 || in.Len() == 0 {
+		t.Fatal("no utilization samples recorded")
 	}
 }

@@ -40,10 +40,6 @@ type Options struct {
 	MaxCTAs int
 	// Workloads overrides the evaluated set (default: workload.Table()).
 	Workloads []workload.Spec
-	// Progress, when non-nil, receives one line per simulation run.
-	// Writes are serialized by the Runner; under parallelism the line
-	// order depends on completion order, but the set of lines does not.
-	Progress io.Writer
 	// Parallelism bounds the number of simulations RunAll executes
 	// concurrently. Default (and any value < 1): runtime.GOMAXPROCS(0).
 	// 1 reproduces the strictly sequential harness.
@@ -85,8 +81,22 @@ type Options struct {
 	// parallelism their order is completion order. Runs that panic
 	// (including deterministic backend failures) fire no callback.
 	// Per-caller attribution — "which of MY requests completed" —
-	// belongs to Session, not here.
+	// belongs to Session, not here. RunLog builds the per-run progress
+	// line callback the commands use.
 	OnResult func(key string, res core.Result, source RunSource)
+}
+
+// RunLog returns an Options.OnResult callback that writes one line per
+// completed run to w: the workload, how the run resolved and its
+// cycles. It serializes its own writes, so Runners sharing one RunLog
+// never interleave lines.
+func RunLog(w io.Writer) func(key string, res core.Result, source RunSource) {
+	var mu sync.Mutex
+	return func(_ string, res core.Result, src RunSource) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(w, "done %-28s %-10s %12d cycles\n", res.Name, src, res.Cycles)
+	}
 }
 
 // DefaultOptions is the reference harness size (minutes for the full
@@ -142,7 +152,6 @@ type Runner struct {
 	mu   sync.Mutex // guards memo (the map itself, not entry results)
 	memo map[string]*memoEntry
 
-	progressMu sync.Mutex // serializes Options.Progress writes
 	onResultMu sync.Mutex // serializes Options.OnResult invocations
 
 	counters // simulation / cache-hit / cache-miss accounting
@@ -298,11 +307,6 @@ func (r *Runner) runKeyed(key string, cfg arch.Config, spec workload.Spec) (core
 					c.Put(key, res)
 				}
 				r.finish(key, e, SourceRemote)
-				if r.opts.Progress != nil {
-					r.progressMu.Lock()
-					fmt.Fprintf(r.opts.Progress, "ran %-28s %-60s %12d cycles (remote)\n", spec.Name, cfgKey(cfg), res.Cycles)
-					r.progressMu.Unlock()
-				}
 				return
 			case !errors.Is(err, ErrBackendUnavailable):
 				// Failed like a simulation: memoized and re-raised for
@@ -330,11 +334,6 @@ func (r *Runner) runKeyed(key string, cfg arch.Config, spec workload.Spec) (core
 			c.Put(key, res)
 		}
 		r.finish(key, e, SourceSimulated)
-		if r.opts.Progress != nil {
-			r.progressMu.Lock()
-			fmt.Fprintf(r.opts.Progress, "ran %-28s %-60s %12d cycles\n", spec.Name, cfgKey(cfg), res.Cycles)
-			r.progressMu.Unlock()
-		}
 	})
 	if e.panicked != nil {
 		if err, ok := e.panicked.(error); ok && errors.Is(err, ErrDeadlineExceeded) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -191,6 +192,28 @@ func TestFigure5EndToEnd(t *testing.T) {
 	if res.Summary["mean_direction_asymmetry"] <= 0 {
 		t.Fatal("profile shows no directional asymmetry; Figure 5's phenomenon is absent")
 	}
+}
+
+// TestLinkUtilRejectsWrappedRing: a link series that wrapped its ring
+// has lost the run's first windows, so Figure 5 must fail with an
+// error naming the ring's size instead of rendering a truncated
+// profile.
+func TestLinkUtilRejectsWrappedRing(t *testing.T) {
+	spec, _ := workload.ByName("HPC-HPGMG-UVM")
+	cfg := arch.TestConfig()
+	cfg.Obs = arch.ObsSpec{Series: true, SamplePeriod: 100, MaxSamples: 8}
+	sys := core.MustSystem(cfg)
+	sys.Run(spec.Program(workload.Options{IterScale: 0.1, MaxCTAs: 32}))
+	if eg, _ := sys.Obs().LinkUtil(0); eg.Dropped() == 0 {
+		t.Fatalf("run too short to wrap an 8-sample ring (%d samples)", eg.Len())
+	}
+	defer func() {
+		err, ok := recover().(error)
+		if !ok || !strings.Contains(err.Error(), "8-sample series ring") {
+			t.Fatalf("linkUtil on a wrapped ring: got %v, want an error naming the 8-sample ring", err)
+		}
+	}()
+	linkUtil(sys)
 }
 
 func TestLaneGranularityEndToEnd(t *testing.T) {

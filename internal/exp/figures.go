@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -98,35 +99,37 @@ func Figure3(r Harness) Result {
 // Figure5 records the per-GPU link utilization profile of HPC-HPGMG-UVM
 // on the locality-optimized 4-socket baseline (Figure 5): asymmetric
 // saturation between directions and across GPU sockets, with kernel
-// launches marked. The profiled run needs its own instrumented system,
-// so it bypasses the Runner memo.
+// launches marked. The profile is the observability layer's per-link
+// egress_util/ingress_util series, sampled every 2,000 cycles. The
+// observed run simulates on its own System outside the Runner: an
+// observed Runner run would skip the cache and Options.Backend.
 func Figure5(r Harness) Result {
 	spec, ok := workload.ByName("HPC-HPGMG-UVM")
 	if !ok {
 		panic("exp: HPC-HPGMG-UVM missing from workload table")
 	}
 	cfg := r.Base(4)
+	cfg.Obs = arch.ObsSpec{Series: true, SamplePeriod: 2000}
 	sys := core.MustSystem(cfg)
-	window := 2000
-	sys.EnableLinkProfile(window)
 	res := sys.Run(spec.Program(r.Options().workloadOptions()))
-	profiles, marks := sys.LinkProfiles()
+	links := linkUtil(sys)
+	marks := sys.KernelLaunches()
 
 	// One E/I column pair per physical link. On the synthesized
 	// crossbar link i is socket i's port (the paper's per-GPU view);
 	// an explicit topology labels columns by link name instead.
 	cols := []string{"Window@cycle"}
-	for i, p := range profiles {
+	for i := range links {
 		name := fmt.Sprintf("GPU%d", i)
 		if cfg.Topology != nil {
-			name = p.Label
+			name = sys.Fabric().LinkAt(i).Name()
 		}
 		cols = append(cols, name+" E", name+" I")
 	}
 	cols = append(cols, "kernel")
 	t := stats.NewTable("Figure 5: link utilization profile, HPC-HPGMG-UVM (locality-optimized 4-socket)",
 		cols...)
-	n := len(profiles[0].Egress.Samples)
+	n := links[0][0].Len()
 	mark := 0
 	// Summaries: how asymmetric is each GPU's link use, and how
 	// complementary are the sockets (the phenomenon Section 4 exploits).
@@ -137,16 +140,15 @@ func Figure5(r Harness) Result {
 		stride = n / maxBuckets
 	}
 	for i := 0; i < n; i++ {
-		at := profiles[0].Egress.Samples[i].At
+		at := links[0][0].At(i).At
 		km := ""
 		for mark < len(marks) && marks[mark] <= at {
 			km = "K"
 			mark++
 		}
 		cells := []any{fmt.Sprintf("%d", at)}
-		for g := range profiles {
-			e := profiles[g].Egress.Samples[i].Value
-			in := profiles[g].Ingress.Samples[i].Value
+		for _, l := range links {
+			e, in := l[0].At(i).Value, l[1].At(i).Value
 			cells = append(cells, e, in)
 			if e+in > 0.2 {
 				d := e - in
@@ -167,6 +169,23 @@ func Figure5(r Harness) Result {
 		"kernels":                  float64(len(marks)),
 		"cycles":                   float64(res.Cycles),
 	}}
+}
+
+// linkUtil returns the egress and ingress utilization series of every
+// fabric link of an observed run. It fails when a series wrapped its
+// ring, because the profile would then lack the run's first windows.
+func linkUtil(sys *core.System) [][2]*obs.Series {
+	col := sys.Obs()
+	out := make([][2]*obs.Series, sys.Fabric().NumLinks())
+	for i := range out {
+		eg, in := col.LinkUtil(i)
+		if eg.Dropped() > 0 || in.Dropped() > 0 {
+			panic(fmt.Errorf("exp: the link profile has %d windows, more than the %d-sample series ring holds; lower the iteration scale",
+				uint64(eg.Len())+eg.Dropped(), col.Spec().MaxSamples))
+		}
+		out[i] = [2]*obs.Series{eg, in}
+	}
+	return out
 }
 
 // Figure6 evaluates dynamic link adaptivity against sample time, with

@@ -96,8 +96,8 @@ func TestObsOnByteIdentical(t *testing.T) {
 
 	// Sharded pass: the rendering runner observes nothing and leases
 	// every run to workers that simulate with sampling and tracing on.
-	// fig3 exercises socket scaling, fig5 the link profiler (the other
-	// sampling ticker in the system).
+	// fig3 exercises socket scaling; fig5 simulates its own observed
+	// run, outside the Runner, for its per-link series.
 	sampled.Store(0)
 	traced.Store(0)
 	b := newShardBackend(2, o)

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"bytes"
-	"strings"
 	"sync"
 	"testing"
 
@@ -65,8 +63,6 @@ func TestParallelDeterminism(t *testing.T) {
 func TestRunAllOrderAndSharing(t *testing.T) {
 	opts := tinyOptions()
 	opts.Parallelism = 8
-	var progress lockedBuffer
-	opts.Progress = &progress
 	r := NewRunner(opts)
 	specs := r.opts.Workloads
 	var reqs []RunRequest
@@ -86,7 +82,7 @@ func TestRunAllOrderAndSharing(t *testing.T) {
 			t.Fatalf("duplicate requests for %q disagree", spec.Name)
 		}
 	}
-	if sims := progress.lines(); sims != len(specs) {
+	if sims := r.Stats().Simulations; sims != uint64(len(specs)) {
 		t.Fatalf("%d simulations for %d unique keys (duplicates must share)", sims, len(specs))
 	}
 }
@@ -94,12 +90,9 @@ func TestRunAllOrderAndSharing(t *testing.T) {
 // TestConcurrentRunSimulatesOnce hammers one memo key from many
 // goroutines calling Run directly (not via RunAll) and requires exactly
 // one simulation: the singleflight guarantee documented on Runner.
-// go test -race covers the memo and Progress guards.
+// go test -race covers the memo guard.
 func TestConcurrentRunSimulatesOnce(t *testing.T) {
-	opts := tinyOptions()
-	var progress lockedBuffer
-	opts.Progress = &progress
-	r := NewRunner(opts)
+	r := NewRunner(tinyOptions())
 	spec := r.opts.Workloads[0]
 	const goroutines = 16
 	results := make([]uint64, goroutines)
@@ -117,7 +110,7 @@ func TestConcurrentRunSimulatesOnce(t *testing.T) {
 			t.Fatalf("goroutine %d saw %d cycles, goroutine 0 saw %d", g, results[g], results[0])
 		}
 	}
-	if sims := progress.lines(); sims != 1 {
+	if sims := r.Stats().Simulations; sims != 1 {
 		t.Fatalf("%d simulations for one key under concurrent Run, want 1", sims)
 	}
 	r.mu.Lock()
@@ -154,28 +147,4 @@ func TestRunPanicPropagates(t *testing.T) {
 	mustPanic("RunAll", func() {
 		r.RunAll([]RunRequest{{r.Base(2), spec}, {bad, spec}, {r.Base(2), spec}})
 	})
-}
-
-// lockedBuffer lets the test read the progress stream while runner
-// goroutines may still hold it; the Runner serializes its own writes,
-// but lines() can race a late writer without the lock.
-type lockedBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *lockedBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *lockedBuffer) lines() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := b.buf.String()
-	if s == "" {
-		return 0
-	}
-	return strings.Count(s, "\n")
 }

@@ -127,11 +127,15 @@ func New(spec arch.ObsSpec) *Collector {
 // Spec reports the normalized spec in effect.
 func (c *Collector) Spec() arch.ObsSpec { return c.spec }
 
-// Period reports the sampling period in cycles.
-func (c *Collector) Period() sim.Time { return c.period }
-
 // Series returns every registered series in registration order.
 func (c *Collector) Series() []*Series { return c.series }
+
+// LinkUtil returns physical link i's egress_util and ingress_util
+// series. It panics unless the collector samples a fabric.
+func (c *Collector) LinkUtil(i int) (egress, ingress *Series) {
+	lp := &c.fabric.links[i]
+	return lp.egUtil, lp.inUtil
+}
 
 // Trace returns the event ring, nil unless the spec requested tracing.
 func (c *Collector) Trace() *Trace { return c.trace }

@@ -31,7 +31,7 @@ func tinyServiceOpts() exp.Options {
 // blockedServer builds a 1-worker, depth-1 coordinator whose queue
 // worker is deterministically wedged: a fabric worker registers but
 // never polls for work, so the first sweep's simulation parks as a
-// pending shard forever (until the test completes it via pollWorker).
+// pending shard forever (until unblock completes it).
 func blockedServer(t *testing.T, cfg Config) (*Server, *httptest.Server, string) {
 	t.Helper()
 	if cfg.Options.Divisor == 0 {
@@ -60,7 +60,7 @@ func unblock(t *testing.T, srv *Server, workerID string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := srv.fabric.pollWorker(PollRequest{WorkerID: workerID, Want: 8})
+		resp, err := poll(srv.fabric, workerID, 8)
 		if err != nil {
 			t.Fatalf("unblock poll: %v", err)
 		}
@@ -70,7 +70,7 @@ func unblock(t *testing.T, srv *Server, workerID string) {
 			results = append(results, ShardResult{ShardID: sh.ID, Key: sh.Run.Key, Result: &res})
 		}
 		if len(results) > 0 {
-			if _, err := srv.fabric.pollWorker(PollRequest{WorkerID: workerID, Results: results}); err != nil {
+			if _, err := poll(srv.fabric, workerID, 0, results...); err != nil {
 				t.Fatalf("unblock results: %v", err)
 			}
 		}
@@ -375,10 +375,7 @@ func TestFabricDeadlineNeverShedsLeasedShards(t *testing.T) {
 	}
 
 	res := core.Result{Name: "late", Cycles: 7}
-	if _, err := f.pollWorker(PollRequest{
-		WorkerID: reg.WorkerID,
-		Results:  []ShardResult{{ShardID: shards[0].ID, Key: shards[0].Run.Key, Result: &res}},
-	}); err != nil {
+	if _, err := poll(f, reg.WorkerID, 0, ShardResult{ShardID: shards[0].ID, Key: shards[0].Run.Key, Result: &res}); err != nil {
 		t.Fatal(err)
 	}
 	select {

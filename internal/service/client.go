@@ -103,25 +103,17 @@ func (c *Client) raw(method, path string, in any) ([]byte, error) {
 }
 
 // decodeError builds the typed *Error from a non-2xx reply. It decodes
-// the structured envelope, falling back to the pre-envelope
-// {"error": "..."} string shape (an older daemon) and finally to the
-// raw body.
+// the structured envelope, falling back to the raw body for a reply
+// that carries none (a proxy's error page, say).
 func decodeError(status int, hdr http.Header, body []byte) *Error {
 	ae := &Error{Status: status, Message: string(body)}
 	var env struct {
-		Error json.RawMessage `json:"error"`
+		Error APIError `json:"error"`
 	}
-	if json.Unmarshal(body, &env) == nil && len(env.Error) > 0 {
-		var obj APIError
-		var legacy string
-		switch {
-		case json.Unmarshal(env.Error, &obj) == nil && obj.Message != "":
-			ae.Code = obj.Code
-			ae.Message = obj.Message
-			ae.RetryAfter = time.Duration(obj.RetryAfterMs) * time.Millisecond
-		case json.Unmarshal(env.Error, &legacy) == nil && legacy != "":
-			ae.Message = legacy
-		}
+	if json.Unmarshal(body, &env) == nil && env.Error.Message != "" {
+		ae.Code = env.Error.Code
+		ae.Message = env.Error.Message
+		ae.RetryAfter = time.Duration(env.Error.RetryAfterMs) * time.Millisecond
 	}
 	if ae.RetryAfter == 0 {
 		if ra := hdr.Get("Retry-After"); ra != "" {

@@ -381,7 +381,10 @@ func TestEndpointErrorEnvelope(t *testing.T) {
 		{"malformed fabric run", "POST", "/v1/fabric/runs", "{nope", 400, "invalid_argument"},
 		{"unknown fabric run", "GET", "/v1/fabric/runs/nope", "", 404, "not_found"},
 		{"unknown worker deregister", "DELETE", "/v1/fabric/workers/nope", "", 410, "unknown_worker"},
-		{"unknown worker poll", "POST", "/v1/fabric/poll", `{"worker_id":"nope"}`, 410, "unknown_worker"},
+		{"unknown worker poll", "POST", "/v1/fabric/poll", `{"worker_id":"nope","seq":1}`, 410, "unknown_worker"},
+		{"poll without seq", "POST", "/v1/fabric/poll", `{"worker_id":"nope"}`, 400, "invalid_argument"},
+		{"poll with seq 0", "POST", "/v1/fabric/poll", `{"worker_id":"nope","seq":0}`, 400, "invalid_argument"},
+		{"register without process", "POST", "/v1/fabric/workers", `{"name":"w","window":1}`, 400, "invalid_argument"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -449,6 +452,29 @@ func TestEndpointErrorEnvelope(t *testing.T) {
 	env.Error = APIError{}
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Code != "draining" {
 		t.Fatalf("post-Close envelope = %+v (err %v), want draining", env.Error, err)
+	}
+}
+
+// TestDecodeErrorEnvelopeOrRawBody pins the client's one error shape:
+// the envelope's code, message and retry hint, and otherwise the raw
+// body as the message, including for a bare {"error": "..."} string.
+func TestDecodeErrorEnvelopeOrRawBody(t *testing.T) {
+	hdr := http.Header{"Retry-After": {"2"}}
+	cases := []struct {
+		body       string
+		code, msg  string
+		retryAfter time.Duration
+	}{
+		{`{"error":{"code":"quota","message":"slow down","retry_after_ms":1500}}`, "quota", "slow down", 1500 * time.Millisecond},
+		{`{"error":{"code":"not_found","message":"no such job"}}`, "not_found", "no such job", 2 * time.Second},
+		{`{"error":"no such job"}`, "", `{"error":"no such job"}`, 2 * time.Second},
+		{"bad gateway", "", "bad gateway", 2 * time.Second},
+	}
+	for _, tc := range cases {
+		got := decodeError(http.StatusBadGateway, hdr, []byte(tc.body))
+		if got.Status != http.StatusBadGateway || got.Code != tc.code || got.Message != tc.msg || got.RetryAfter != tc.retryAfter {
+			t.Errorf("decodeError(%s) = %+v, want code %q message %q retry %v", tc.body, got, tc.code, tc.msg, tc.retryAfter)
+		}
 	}
 }
 

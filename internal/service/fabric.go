@@ -110,18 +110,8 @@ type fabWorker struct {
 	window   int
 	leased   map[string]*shard // by RunKey
 	lastSeen time.Time
-	lastSeq  int64     // highest PollRequest.Seq processed (0: legacy client)
+	lastSeq  int64     // highest PollRequest.Seq processed
 	stats    exp.Stats // absolute per-process counters, as of the last poll
-}
-
-// statsKey is the per-process accounting identity (worker id for
-// clients too old to send one — then each registration is its own
-// process, which degrades to the old accumulate-once behaviour).
-func (w *fabWorker) statsKey() string {
-	if w.process != "" {
-		return w.process
-	}
-	return w.id
 }
 
 // maxStats merges two absolute counter snapshots of one process
@@ -170,10 +160,6 @@ type shard struct {
 // errNoWorkers is the internal unavailability signal: the dispatcher
 // maps it to exp.ErrBackendUnavailable so the Runner simulates locally.
 var errNoWorkers = errors.New("service: no live fabric workers")
-
-func newFabric(leaseTTL, poll time.Duration) *fabric {
-	return newFabricState(leaseTTL, poll, nil, nil, nil)
-}
 
 // newFabricState builds a fabric wired to the durable layer: the shared
 // DiskCache, the journal, and the granted-but-uncompleted shards
@@ -365,7 +351,7 @@ func (f *fabric) requeueLocked(sh *shard) {
 // for the fleet that is still re-registering.
 func (f *fabric) removeWorkerLocked(w *fabWorker) {
 	delete(f.workers, w.id)
-	f.departed[w.statsKey()] = maxStats(f.departed[w.statsKey()], w.stats)
+	f.departed[w.process] = maxStats(f.departed[w.process], w.stats)
 	for _, sh := range w.leased {
 		sh.owner = nil
 		f.requeueLocked(sh)
@@ -466,6 +452,8 @@ func (f *fabric) execute(run WireRun) (core.Result, error) {
 }
 
 // register adds a worker to the fleet and returns its lease terms.
+// process is the worker's non-empty process id; the HTTP handler
+// rejects a registration without one.
 func (f *fabric) register(name, process string, window int) (RegisterResponse, error) {
 	if window < 1 {
 		window = 1
@@ -494,14 +482,12 @@ func (f *fabric) register(name, process string, window int) (RegisterResponse, e
 	// still simulating them (or holds their finished results in its
 	// outbox). Re-leasing them to it keeps the reservation visible to
 	// lease expiry and window accounting.
-	if process != "" {
-		for _, sh := range f.shards {
-			if sh.resumedProc == process && sh.owner == nil && !sh.completed {
-				sh.resumedProc = ""
-				sh.owner = w
-				w.leased[sh.run.Key] = sh
-				f.jnl.append(journalRecord{T: "grant", Key: sh.run.Key, Proc: process})
-			}
+	for _, sh := range f.shards {
+		if sh.resumedProc == process && sh.owner == nil && !sh.completed {
+			sh.resumedProc = ""
+			sh.owner = w
+			w.leased[sh.run.Key] = sh
+			f.jnl.append(journalRecord{T: "grant", Key: sh.run.Key, Proc: process})
 		}
 	}
 	return RegisterResponse{
@@ -537,8 +523,8 @@ func (f *fabric) deregister(id string) error {
 // processed is a duplicated delivery (retry or injected fault) — its
 // results are still ingested (idempotent under the exactly-once guard)
 // but it neither reconciles nor receives grants, so a stale duplicate
-// racing a fresh poll can never requeue or double-lease shards. Seq 0
-// marks a legacy client: always treated as fresh, never reconciled.
+// racing a fresh poll can never requeue or double-lease shards. The
+// HTTP handler rejects polls without a Seq of at least 1.
 func (f *fabric) pollWorker(req PollRequest) (PollResponse, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -548,8 +534,8 @@ func (f *fabric) pollWorker(req PollRequest) (PollResponse, error) {
 	}
 	w.lastSeen = time.Now()
 	w.stats = req.Stats
-	fresh := req.Seq == 0 || req.Seq > w.lastSeq
-	if req.Seq > w.lastSeq {
+	fresh := req.Seq > w.lastSeq
+	if fresh {
 		w.lastSeq = req.Seq
 	}
 
@@ -579,21 +565,19 @@ func (f *fabric) pollWorker(req PollRequest) (PollResponse, error) {
 		return resp, nil
 	}
 
-	if req.Seq > 0 {
-		// Reconcile: a shard leased to this worker that it does not
-		// report holding was granted in a response the worker never
-		// received (dropped or duplicated delivery). Requeue it now
-		// instead of waiting a full lease TTL.
-		held := make(map[string]bool, len(req.Holding))
-		for _, k := range req.Holding {
-			held[k] = true
-		}
-		for key, sh := range w.leased {
-			if !held[key] {
-				delete(w.leased, key)
-				sh.owner = nil
-				f.requeueLocked(sh)
-			}
+	// Reconcile: a shard leased to this worker that it does not report
+	// holding was granted in a response the worker never received
+	// (dropped or duplicated delivery). Requeue it now instead of
+	// waiting a full lease TTL.
+	held := make(map[string]bool, len(req.Holding))
+	for _, k := range req.Holding {
+		held[k] = true
+	}
+	for key, sh := range w.leased {
+		if !held[key] {
+			delete(w.leased, key)
+			sh.owner = nil
+			f.requeueLocked(sh)
 		}
 	}
 
@@ -614,7 +598,7 @@ func (f *fabric) pollWorker(req PollRequest) (PollResponse, error) {
 		}
 		sh.owner = w
 		w.leased[sh.run.Key] = sh
-		f.jnl.append(journalRecord{T: "grant", Key: sh.run.Key, Proc: w.statsKey()})
+		f.jnl.append(journalRecord{T: "grant", Key: sh.run.Key, Proc: w.process})
 		resp.Shards = append(resp.Shards, WireShard{ID: sh.id, Run: sh.run})
 		want--
 	}
@@ -666,7 +650,7 @@ func (f *fabric) snapshot() fabricSnapshot {
 	leased := 0
 	for _, w := range f.workers {
 		leased += len(w.leased)
-		perProcess[w.statsKey()] = maxStats(perProcess[w.statsKey()], w.stats)
+		perProcess[w.process] = maxStats(perProcess[w.process], w.stats)
 		s.Workers = append(s.Workers, FabricWorkerStatus{
 			ID:         w.id,
 			Name:       w.name,
@@ -701,7 +685,7 @@ func (f *fabric) liveGrants() []grantRecord {
 		}
 		switch {
 		case sh.owner != nil:
-			out = append(out, grantRecord{Key: key, Proc: sh.owner.statsKey()})
+			out = append(out, grantRecord{Key: key, Proc: sh.owner.process})
 		case sh.resumedProc != "":
 			out = append(out, grantRecord{Key: key, Proc: sh.resumedProc})
 		}
@@ -753,7 +737,8 @@ type RegisterRequest struct {
 	// re-registrations (lease expiry + re-register): the coordinator
 	// keys stats accounting by it so cumulative counters reported
 	// under a new registration supersede, not add to, the old one's.
-	Process string `json:"process,omitempty"`
+	// Required: a registration without it is rejected with 400.
+	Process string `json:"process"`
 	// Window is the maximum number of shards the worker wants leased at
 	// once (its in-flight simulation budget).
 	Window int `json:"window"`
@@ -787,16 +772,16 @@ type ShardResult struct {
 // shards it can accept.
 type PollRequest struct {
 	WorkerID string `json:"worker_id"`
-	// Seq orders this worker's polls (strictly increasing per process).
-	// The coordinator answers an already-seen Seq — a duplicated or
-	// retried delivery — with results ingested but no grants and no
-	// reconciliation. 0 marks a legacy client without sequencing.
-	Seq  int64 `json:"seq,omitempty"`
+	// Seq orders this worker's polls (strictly increasing per process,
+	// from 1; a poll without it is rejected with 400). The coordinator
+	// answers an already-seen Seq — a duplicated or retried delivery —
+	// with results ingested but no grants and no reconciliation.
+	Seq  int64 `json:"seq"`
 	Want int   `json:"want"`
 	// Holding lists every RunKey the worker still owes a result for
 	// (simulating or queued in its outbox). The coordinator requeues
 	// leases absent from it: they were granted in a reply the worker
-	// never received. Meaningful only when Seq > 0.
+	// never received.
 	Holding []string      `json:"holding,omitempty"`
 	Results []ShardResult `json:"results,omitempty"`
 	Stats   exp.Stats     `json:"stats"`
@@ -861,6 +846,10 @@ func (s *Server) handleFabricRegister(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, codeInvalidArgument, "bad register request: %v", err)
 		return
 	}
+	if req.Process == "" {
+		writeAPIError(w, http.StatusBadRequest, codeInvalidArgument, "register request without a process id")
+		return
+	}
 	resp, err := s.fabric.register(req.Name, req.Process, req.Window)
 	if err != nil {
 		writeAPIError(w, http.StatusServiceUnavailable, codeDraining, "%v", err)
@@ -881,6 +870,10 @@ func (s *Server) handleFabricPoll(w http.ResponseWriter, r *http.Request) {
 	var req PollRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeAPIError(w, http.StatusBadRequest, codeInvalidArgument, "bad poll request: %v", err)
+		return
+	}
+	if req.Seq < 1 {
+		writeAPIError(w, http.StatusBadRequest, codeInvalidArgument, "poll request without a seq of at least 1")
 		return
 	}
 	resp, err := s.fabric.pollWorker(req)

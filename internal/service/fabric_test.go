@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,6 +19,30 @@ import (
 )
 
 // --- fabric lease-machinery unit tests (no simulations) ---
+
+// newFabric builds a fabric with no disk cache, journal or recovered
+// grants.
+func newFabric(leaseTTL, poll time.Duration) *fabric {
+	return newFabricState(leaseTTL, poll, nil, nil, nil)
+}
+
+// poll sends one heartbeat for workerID the way service.Worker does:
+// numbered with the next Seq after the last one the fabric processed,
+// and Holding every lease the fabric granted the worker, so the
+// reconciliation requeues nothing. want asks for new shards; results
+// report finished ones.
+func poll(f *fabric, workerID string, want int, results ...ShardResult) (PollResponse, error) {
+	req := PollRequest{WorkerID: workerID, Seq: 1, Want: want, Results: results}
+	f.mu.Lock()
+	if w, ok := f.workers[workerID]; ok {
+		req.Seq = w.lastSeq + 1
+		for key := range w.leased {
+			req.Holding = append(req.Holding, key)
+		}
+	}
+	f.mu.Unlock()
+	return f.pollWorker(req)
+}
 
 // testRun builds a WireRun with a distinguishable key; the config and
 // workload are never executed by these unit tests.
@@ -46,7 +71,7 @@ func awaitLeased(t *testing.T, f *fabric, workerID string, n int) []WireShard {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err := f.pollWorker(PollRequest{WorkerID: workerID, Want: n})
+		resp, err := poll(f, workerID, n)
 		if err != nil {
 			t.Fatalf("poll: %v", err)
 		}
@@ -92,7 +117,7 @@ func TestFabricLeaseWindowAndCompletion(t *testing.T) {
 	var got []WireShard
 	deadline := time.Now().Add(5 * time.Second)
 	for len(got) < 2 {
-		resp, err := f.pollWorker(PollRequest{WorkerID: reg.WorkerID, Want: 8})
+		resp, err := poll(f, reg.WorkerID, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,17 +130,13 @@ func TestFabricLeaseWindowAndCompletion(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("leased %d shards, want exactly 2 (window)", len(got))
 	}
-	if resp, _ := f.pollWorker(PollRequest{WorkerID: reg.WorkerID, Want: 8}); len(resp.Shards) != 0 {
+	if resp, _ := poll(f, reg.WorkerID, 8); len(resp.Shards) != 0 {
 		t.Fatalf("over-window grant: %d extra shards", len(resp.Shards))
 	}
 
 	// Completing one shard frees a window slot and wakes its waiter.
 	res := core.Result{Name: "done", Cycles: 42}
-	resp, err := f.pollWorker(PollRequest{
-		WorkerID: reg.WorkerID,
-		Want:     8,
-		Results:  []ShardResult{{ShardID: got[0].ID, Key: got[0].Run.Key, Result: &res}},
-	})
+	resp, err := poll(f, reg.WorkerID, 8, ShardResult{ShardID: got[0].ID, Key: got[0].Run.Key, Result: &res})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +172,7 @@ func TestFabricWorkerDeathRequeuesToSurvivor(t *testing.T) {
 	var re []WireShard
 	deadline := time.Now().Add(5 * time.Second)
 	for len(re) == 0 {
-		resp, err := f.pollWorker(PollRequest{WorkerID: regb.WorkerID, Want: 1})
+		resp, err := poll(f, regb.WorkerID, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,10 +186,7 @@ func TestFabricWorkerDeathRequeuesToSurvivor(t *testing.T) {
 		t.Fatalf("re-leased %q, want k1", re[0].Run.Key)
 	}
 	res := core.Result{Cycles: 7}
-	if _, err := f.pollWorker(PollRequest{
-		WorkerID: regb.WorkerID,
-		Results:  []ShardResult{{ShardID: re[0].ID, Key: "k1", Result: &res}},
-	}); err != nil {
+	if _, err := poll(f, regb.WorkerID, 0, ShardResult{ShardID: re[0].ID, Key: "k1", Result: &res}); err != nil {
 		t.Fatal(err)
 	}
 	out := <-done
@@ -181,7 +199,7 @@ func TestFabricWorkerDeathRequeuesToSurvivor(t *testing.T) {
 	}
 	// The dead worker's late report (it was alive all along, just
 	// partitioned) is dropped as stale, not double-applied.
-	if _, err := f.pollWorker(PollRequest{WorkerID: rega.WorkerID}); !errors.Is(err, errUnknownWorker) {
+	if _, err := poll(f, rega.WorkerID, 0); !errors.Is(err, errUnknownWorker) {
 		t.Fatalf("expired worker poll: %v, want errUnknownWorker", err)
 	}
 }
@@ -211,21 +229,17 @@ func TestFabricStaleResultDropped(t *testing.T) {
 	done := startExecute(f, "k1")
 	shards := awaitLeased(t, f, reg.WorkerID, 1)
 	res := core.Result{Cycles: 1}
-	report := PollRequest{
-		WorkerID: reg.WorkerID,
-		Results:  []ShardResult{{ShardID: shards[0].ID, Key: "k1", Result: &res}},
-	}
-	if _, err := f.pollWorker(report); err != nil {
+	report := ShardResult{ShardID: shards[0].ID, Key: "k1", Result: &res}
+	if _, err := poll(f, reg.WorkerID, 0, report); err != nil {
 		t.Fatal(err)
 	}
 	<-done
 	// Duplicate report for the completed shard, and a report for a key
 	// the fabric never issued: both dropped and counted.
-	if _, err := f.pollWorker(report); err != nil {
+	if _, err := poll(f, reg.WorkerID, 0, report); err != nil {
 		t.Fatal(err)
 	}
-	bogus := PollRequest{WorkerID: reg.WorkerID, Results: []ShardResult{{Key: "never-issued", Result: &res}}}
-	if _, err := f.pollWorker(bogus); err != nil {
+	if _, err := poll(f, reg.WorkerID, 0, ShardResult{Key: "never-issued", Result: &res}); err != nil {
 		t.Fatal(err)
 	}
 	snap := f.snapshot()
@@ -240,10 +254,7 @@ func TestFabricWorkerErrorFailsShardDeterministically(t *testing.T) {
 	reg, _ := f.register("w", "proc-w", 1)
 	done := startExecute(f, "k1")
 	shards := awaitLeased(t, f, reg.WorkerID, 1)
-	if _, err := f.pollWorker(PollRequest{
-		WorkerID: reg.WorkerID,
-		Results:  []ShardResult{{ShardID: shards[0].ID, Key: "k1", Error: "simulation panic: bad config"}},
-	}); err != nil {
+	if _, err := poll(f, reg.WorkerID, 0, ShardResult{ShardID: shards[0].ID, Key: "k1", Error: "simulation panic: bad config"}); err != nil {
 		t.Fatal(err)
 	}
 	out := <-done
@@ -271,8 +282,99 @@ func TestFabricDeregisterRequeues(t *testing.T) {
 		t.Fatalf("re-leased %q, want %q", re[0].Run.Key, shards[0].Run.Key)
 	}
 	res := core.Result{Cycles: 9}
-	f.pollWorker(PollRequest{WorkerID: regb.WorkerID, Results: []ShardResult{{Key: "k1", Result: &res}}})
+	poll(f, regb.WorkerID, 0, ShardResult{Key: "k1", Result: &res})
 	if out := <-done; out.err != nil || out.res.Cycles != 9 {
+		t.Fatalf("outcome = %+v", out)
+	}
+}
+
+// lastSeq reads the highest poll sequence number the fabric processed
+// for workerID.
+func lastSeq(f *fabric, workerID string) int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.workers[workerID].lastSeq
+}
+
+// TestFabricDuplicatePollIngestsOnly: a poll whose Seq the fabric has
+// already processed (a retried or duplicated delivery) still ingests
+// its results, but it grants nothing and requeues nothing, even though
+// its Holding is empty and a pending shard would fit the window.
+func TestFabricDuplicatePollIngestsOnly(t *testing.T) {
+	f := newFabric(time.Minute, 5*time.Millisecond)
+	defer f.close()
+	reg, _ := f.register("w", "proc-w", 2)
+	d1 := startExecute(f, "k1")
+	awaitLeased(t, f, reg.WorkerID, 1)
+	startExecute(f, "k2")
+	awaitLeased(t, f, reg.WorkerID, 2)
+	startExecute(f, "k3")
+	for deadline := time.Now().Add(5 * time.Second); f.snapshot().Pending != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("k3 never queued")
+		}
+	}
+
+	res := core.Result{Cycles: 5}
+	dup := PollRequest{
+		WorkerID: reg.WorkerID,
+		Seq:      lastSeq(f, reg.WorkerID),
+		Want:     2,
+		Results:  []ShardResult{{Key: "k1", Result: &res}},
+	}
+	resp, err := f.pollWorker(dup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Shards) != 0 {
+		t.Fatalf("duplicate poll granted %d shards, want none", len(resp.Shards))
+	}
+	if out := <-d1; out.err != nil || out.res.Cycles != 5 {
+		t.Fatalf("k1 outcome = %+v, want the duplicate poll's result", out)
+	}
+	snap := f.snapshot()
+	if snap.Completed != 1 || snap.Requeued != 0 || snap.Leased != 1 || snap.Pending != 1 {
+		t.Fatalf("after the duplicate poll: %+v, want k1 completed, k2 still leased, k3 pending, nothing requeued", snap)
+	}
+
+	// The next fresh poll takes k3 into the slot k1 freed.
+	resp, err = poll(f, reg.WorkerID, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Shards) != 1 || resp.Shards[0].Run.Key != "k3" {
+		t.Fatalf("fresh poll granted %+v, want k3", resp.Shards)
+	}
+}
+
+// TestFabricReconcileRequeuesUnheldLease: a fresh poll whose Holding
+// omits a lease the fabric granted (the grant's reply never reached the
+// worker) requeues that shard at once, long before the lease TTL, and
+// the shard is granted again.
+func TestFabricReconcileRequeuesUnheldLease(t *testing.T) {
+	f := newFabric(time.Minute, 5*time.Millisecond)
+	defer f.close()
+	reg, _ := f.register("w", "proc-w", 1)
+	done := startExecute(f, "k1")
+	awaitLeased(t, f, reg.WorkerID, 1)
+
+	lost := PollRequest{WorkerID: reg.WorkerID, Seq: lastSeq(f, reg.WorkerID) + 1}
+	if _, err := f.pollWorker(lost); err != nil {
+		t.Fatal(err)
+	}
+	if snap := f.snapshot(); snap.Requeued != 1 || snap.Leased != 0 || snap.Pending != 1 {
+		t.Fatalf("after a poll not holding k1: %+v, want k1 requeued and pending", snap)
+	}
+
+	re := awaitLeased(t, f, reg.WorkerID, 1)
+	if len(re) != 1 || re[0].Run.Key != "k1" {
+		t.Fatalf("re-leased %+v, want k1", re)
+	}
+	res := core.Result{Cycles: 3}
+	if _, err := poll(f, reg.WorkerID, 0, ShardResult{ShardID: re[0].ID, Key: "k1", Result: &res}); err != nil {
+		t.Fatal(err)
+	}
+	if out := <-done; out.err != nil || out.res.Cycles != 3 {
 		t.Fatalf("outcome = %+v", out)
 	}
 }
@@ -742,5 +844,47 @@ func TestFabricRemoteRunEndpoint(t *testing.T) {
 	_, err := fc.Execute("v999|bogus", local.Base(2), spec, workload.Options{IterScale: 0.1, MaxCTAs: 64})
 	if err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("key skew accepted: %v", err)
+	}
+}
+
+// TestCacheStatusCountsEveryRunner: /v1/cache and /metrics report the
+// totals of every runner the daemon holds, so a remote run at an
+// iteration scale other than the daemon's own, which gets a runner of
+// its own, moves both by the same amount.
+func TestCacheStatusCountsEveryRunner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	_, ts, client := clusterServer(t, t.TempDir())
+	read := func() CacheStatus {
+		t.Helper()
+		st, err := client.CacheStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := client.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range []string{
+			fmt.Sprintf("numagpud_simulations_total %d\n", st.Simulations),
+			fmt.Sprintf("numagpud_cache_hits_total %d\n", st.Hits),
+			fmt.Sprintf("numagpud_cache_misses_total %d\n", st.Misses),
+		} {
+			if !strings.Contains(m, line) {
+				t.Fatalf("/v1/cache reads %+v but /metrics lacks %q:\n%s", st, line, m)
+			}
+		}
+		return st
+	}
+	before := read()
+	opts := fabricOpts()
+	opts.IterScale /= 2
+	remote := exp.NewRemoteRunner(opts, NewFabricClient(ts.URL))
+	remote.Run(remote.Base(2), opts.Workloads[0])
+	after := read()
+	if sims, misses := after.Simulations-before.Simulations, after.Misses-before.Misses; sims != 1 || misses != 1 {
+		t.Fatalf("a remote run at IterScale %g moved /v1/cache by %d simulations and %d misses, want 1 and 1",
+			opts.IterScale, sims, misses)
 	}
 }

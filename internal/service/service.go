@@ -54,7 +54,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"path/filepath"
 	"strconv"
@@ -74,7 +73,9 @@ import (
 type Config struct {
 	// Options configures the underlying exp.Runner (divisor, iteration
 	// scale, workload set, parallelism within one sweep). The Cache and
-	// Progress fields are owned by the Server and overwritten.
+	// Backend fields are owned by the Server and overwritten; OnResult
+	// reaches every runner the Server builds (numagpud -v sets it to
+	// exp.RunLog).
 	Options exp.Options
 	// CacheDir, when non-empty, enables the persistent result cache
 	// rooted at that directory.
@@ -98,9 +99,6 @@ type Config struct {
 	// with 429 + a Retry-After derived from queue depth × observed
 	// per-job latency. In-flight jobs are never shed.
 	QueueDepth int
-	// Mirror, when non-nil, additionally receives every per-run
-	// progress line (numagpud -v wires this to stderr).
-	Mirror io.Writer
 	// JobRetention bounds how many finished (done or failed) jobs are
 	// kept for status/result queries; the oldest finished jobs are
 	// evicted beyond it (default 256). Queued and running jobs are
@@ -178,8 +176,9 @@ type ExperimentInfo struct {
 	Desc string `json:"desc"`
 }
 
-// CacheStatus is the /v1/cache payload: disk footprint plus the
-// runner's run accounting.
+// CacheStatus is the /v1/cache payload: disk footprint plus the run
+// accounting summed over every runner the server holds, the same
+// totals /metrics reports.
 type CacheStatus struct {
 	Enabled     bool   `json:"enabled"`
 	Dir         string `json:"dir,omitempty"`
@@ -270,11 +269,6 @@ func New(cfg Config) (*Server, error) {
 		s.disk = disk
 		opts.Cache = disk
 	}
-	// Per-run attribution rides the typed event log (each job's
-	// Session reports its own completions); the legacy progress writer
-	// only feeds the operator mirror now.
-	opts.Progress = cfg.Mirror
-
 	// Durable coordinator state: replay the journal (job submissions +
 	// shard grants not yet resolved) so a restarted coordinator resumes
 	// its in-flight sweeps instead of losing them.
@@ -1145,7 +1139,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
-	rs := s.runner.Stats()
+	rs := s.runners.stats()
 	st := CacheStatus{
 		Enabled:     s.disk != nil,
 		Hits:        rs.CacheHits,

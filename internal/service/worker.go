@@ -30,7 +30,8 @@ type WorkerConfig struct {
 	// Poll is the fallback poll interval used until the coordinator
 	// advertises one (default 250ms).
 	Poll time.Duration
-	// Mirror, when non-nil, receives per-run progress lines.
+	// Mirror, when non-nil, receives one exp.RunLog line per run the
+	// worker completes.
 	Mirror io.Writer
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
@@ -103,7 +104,10 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		wake:    make(chan struct{}, 1),
 		killed:  make(chan struct{}),
 	}
-	base := exp.Options{Progress: cfg.Mirror}
+	var base exp.Options
+	if cfg.Mirror != nil {
+		base.OnResult = exp.RunLog(cfg.Mirror)
+	}
 	w.runners = newRunnerSet(base)
 	return w
 }

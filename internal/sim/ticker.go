@@ -3,8 +3,8 @@ package sim
 // Ticker drives a recurring component clock: fn runs every period
 // cycles until Stop. It replaces the hand-rolled self-rescheduling
 // closures of the policy samplers (link balancer, cache partition
-// controller, link profiler) with one allocation for the lifetime of
-// the ticker instead of one per Start.
+// controller, observability probes) with one allocation for the
+// lifetime of the ticker instead of one per Start.
 //
 // Ordering is exactly that of the pattern it replaces: the first tick
 // fires period cycles after Start, and each tick reschedules itself

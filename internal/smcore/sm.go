@@ -328,6 +328,3 @@ func (s *SM) DebugStates() [3]int {
 	}
 	return out
 }
-
-// DebugRunning reports whether the issue loop is scheduled.
-func (s *SM) DebugRunning() bool { return s.running }

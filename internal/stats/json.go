@@ -32,13 +32,3 @@ func (t *Table) UnmarshalJSON(b []byte) error {
 	t.Title, t.Columns, t.rows = raw.Title, raw.Columns, raw.Rows
 	return nil
 }
-
-// Cell reports the formatted cell at (row, col), empty when out of
-// range. It gives JSON consumers (and tests) positional access without
-// exposing the row slice for mutation.
-func (t *Table) Cell(row, col int) string {
-	if row < 0 || row >= len(t.rows) || col < 0 || col >= len(t.Columns) {
-		return ""
-	}
-	return t.rows[row][col]
-}

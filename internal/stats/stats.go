@@ -1,8 +1,9 @@
 // Package stats provides the measurement primitives the NUMA GPU model
 // and its runtime policies rely on: windowed bandwidth meters (the link
 // balancer and cache partitioner both sample saturation over fixed
-// windows), plain counters, and time-series recorders for the
-// utilization profiles shown in Figure 5 of the paper.
+// windows), plain counters and hit rates, and the text tables the
+// experiment harness renders. Time series, such as the per-link
+// utilization profile of Figure 5, are recorded by internal/obs.
 package stats
 
 import "repro/internal/sim"
@@ -58,47 +59,6 @@ func (c *Counter) Advance(n uint64) { c.n += n }
 
 // Value reports the count.
 func (c *Counter) Value() uint64 { return c.n }
-
-// Sample is one point of a recorded utilization time series.
-type Sample struct {
-	At    sim.Time
-	Value float64
-}
-
-// Series records a time series of float samples, e.g. per-window link
-// utilization for the Figure 5 profile.
-type Series struct {
-	Name    string
-	Samples []Sample
-}
-
-// Record appends a sample.
-func (s *Series) Record(at sim.Time, v float64) {
-	s.Samples = append(s.Samples, Sample{At: at, Value: v})
-}
-
-// Mean reports the arithmetic mean of the recorded values, 0 if empty.
-func (s *Series) Mean() float64 {
-	if len(s.Samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range s.Samples {
-		sum += p.Value
-	}
-	return sum / float64(len(s.Samples))
-}
-
-// Max reports the maximum recorded value, 0 if empty.
-func (s *Series) Max() float64 {
-	m := 0.0
-	for _, p := range s.Samples {
-		if p.Value > m {
-			m = p.Value
-		}
-	}
-	return m
-}
 
 // HitRate is a convenience pair of counters for cache statistics.
 type HitRate struct {

@@ -69,21 +69,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	var s Series
-	if s.Mean() != 0 || s.Max() != 0 {
-		t.Fatal("empty series must read 0")
-	}
-	s.Record(10, 1.0)
-	s.Record(20, 3.0)
-	if s.Mean() != 2.0 {
-		t.Fatalf("mean %v, want 2", s.Mean())
-	}
-	if s.Max() != 3.0 {
-		t.Fatalf("max %v, want 3", s.Max())
-	}
-}
-
 func TestHitRate(t *testing.T) {
 	var h HitRate
 	if h.Rate() != 0 {

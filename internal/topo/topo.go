@@ -74,7 +74,7 @@ type LinkSpec struct {
 }
 
 // Topology is a complete fabric description. Link order is significant:
-// it fixes physical link indices (balancer and profiler attachment
+// it fixes physical link indices (balancer and link-series attachment
 // order) and breaks routing ties, so it is part of the canonical
 // encoding.
 type Topology struct {

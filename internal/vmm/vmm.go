@@ -96,9 +96,6 @@ func (m *Memory) interleave(u uint64) arch.SocketID {
 // Sockets reports the socket count.
 func (m *Memory) Sockets() int { return m.sockets }
 
-// Policy reports the placement policy.
-func (m *Memory) Policy() arch.MemPlacement { return m.policy }
-
 // Owner resolves the home socket of the line l for a request issued by
 // requester. Under first touch, an unmapped page is placed on the
 // requester's socket (on-demand migration from system memory). This is

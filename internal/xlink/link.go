@@ -36,9 +36,6 @@ func (d Direction) String() string {
 	return "ingress"
 }
 
-// Opposite returns the other direction.
-func (d Direction) Opposite() Direction { return 1 - d }
-
 // Link is one physical cable of the fabric: between a socket and a
 // switch in the paper's star, or between any two topology nodes in a
 // user-supplied graph. Direction Egress is the A→B traversal of the
@@ -54,9 +51,8 @@ type Link struct {
 	design [2]int // design-time lane assignment, restored at kernel launch
 	srv    [2]*sim.Server
 
-	balBytes  [2]stats.Meter // sampling window for the balancer & policies
-	profBytes [2]stats.Meter // independent window for profiling (Figure 5)
-	gen       uint64         // invalidates in-flight lane-turn completions
+	balBytes [2]stats.Meter // sampling window for the balancer & policies
+	gen      uint64         // invalidates in-flight lane-turn completions
 
 	// Turns counts completed lane reversals; Sent counts bytes by
 	// direction over the link's lifetime.
@@ -115,7 +111,6 @@ func (l *Link) Bandwidth(dir Direction) float64 { return l.srv[dir].Bandwidth() 
 func (l *Link) SendArg(dir Direction, size int, h sim.Handler, arg int) {
 	l.Sent[dir].Advance(uint64(size))
 	l.balBytes[dir].Add(uint64(size))
-	l.profBytes[dir].Add(uint64(size))
 	l.srv[dir].TransferArg(size, h, arg)
 }
 
@@ -139,20 +134,6 @@ func (l *Link) Utilization(dir Direction, now sim.Time) float64 {
 func (l *Link) ResetWindow(now sim.Time) {
 	l.balBytes[Egress].Reset(now)
 	l.balBytes[Ingress].Reset(now)
-}
-
-// ProfileUtilization reports dir's utilization over the profiler window
-// (normalized against the design-time per-direction capacity so Figure
-// 5 profiles are comparable across runtime reconfigurations).
-func (l *Link) ProfileUtilization(dir Direction, now sim.Time) float64 {
-	design := float64(l.design[dir]) * l.laneBW
-	return l.profBytes[dir].Utilization(now, design)
-}
-
-// ResetProfileWindow opens a new profiler window at now.
-func (l *Link) ResetProfileWindow(now sim.Time) {
-	l.profBytes[Egress].Reset(now)
-	l.profBytes[Ingress].Reset(now)
 }
 
 // TurnLane re-points one lane from direction from to direction to. The

@@ -131,19 +131,6 @@ func TestUtilizationWindows(t *testing.T) {
 	}
 }
 
-func TestProfileWindowIndependent(t *testing.T) {
-	eng := sim.New()
-	l := newTestLink(eng)
-	l.ResetWindow(0)
-	l.ResetProfileWindow(0)
-	l.SendArg(Egress, 160, 0, 0)
-	eng.Run()
-	l.ResetWindow(50) // balancer consumed its window
-	if u := l.ProfileUtilization(Egress, 100); u < 0.19 || u > 0.21 {
-		t.Fatalf("profile utilization %v, want 0.2 (160B/800B)", u)
-	}
-}
-
 // TestPropertyLaneConservation: any sequence of turns and resets keeps
 // the total lane count and at least one lane per direction.
 func TestPropertyLaneConservation(t *testing.T) {

@@ -55,30 +55,46 @@ if [ "$RUN_QUICK" = 1 ]; then
   # binary. The obs contract is byte-inert output (the cmp) and a
   # sampling budget of < 2% wall (see docs/OBSERVABILITY.md);
   # obs_overhead_pct lands in the history array so regressions in the
-  # sampling path show up as a trajectory, not an anecdote. Runs
-  # alternate off/on three times and the minima are compared, since a
-  # single pair is dominated by machine noise on shared runners.
-  echo "timing numagpu -quick fig3: sampling off vs -obs-dir, min of 3 (byte-compared)..." >&2
+  # sampling path show up as a trajectory, not an anecdote. Host speed
+  # drifts by more than the budget between runs taken one after the
+  # other, so each pair runs off and on side by side (-j 1 each, one
+  # per CPU) and drift hits both alike; the side that starts first
+  # alternates. Three pairs give three on/off wall ratios, and the
+  # overhead is their median; the recorded walls are the medians too.
+  echo "timing numagpu -quick -j 1 fig3: sampling off and -obs-dir side by side, 3 pairs (byte-compared)..." >&2
   od=$(mktemp -d -t obsbench.XXXXXX)
-  for _ in 1 2 3; do
-    start=$(date +%s%N)
-    "$bin" -quick -j 1 -golden fig3 > "$od/fig3.off"
-    end=$(date +%s%N)
-    w=$(awk -v s="$start" -v e="$end" 'BEGIN { printf "%.1f", (e-s)/1e9 }')
-    fig3_obs_off_wall=$(awk -v a="$fig3_obs_off_wall" -v b="$w" \
-      'BEGIN { printf "%.1f", (a == "null" || b+0 < a+0 ? b : a) }')
+  timed() { # timed <file> <cmd>...: run cmd, write its wall seconds to file
+    local f=$1 s e
+    shift
+    s=$(date +%s%N)
+    "$@"
+    e=$(date +%s%N)
+    awk -v s="$s" -v e="$e" 'BEGIN { printf "%.3f", (e-s)/1e9 }' > "$f"
+  }
+  fig3_off() { timed "$od/off.s" "$bin" -quick -j 1 -golden fig3 > "$od/fig3.off"; }
+  fig3_on() { timed "$od/on.s" "$bin" -quick -j 1 -golden -obs-dir "$od/obs" fig3 > "$od/fig3.on"; }
+  pairs=""
+  for i in 1 2 3; do
     rm -rf "$od/obs"
-    start=$(date +%s%N)
-    "$bin" -quick -j 1 -golden -obs-dir "$od/obs" fig3 > "$od/fig3.on"
-    end=$(date +%s%N)
-    w=$(awk -v s="$start" -v e="$end" 'BEGIN { printf "%.1f", (e-s)/1e9 }')
-    fig3_obs_on_wall=$(awk -v a="$fig3_obs_on_wall" -v b="$w" \
-      'BEGIN { printf "%.1f", (a == "null" || b+0 < a+0 ? b : a) }')
+    if [ $((i % 2)) = 1 ]; then
+      fig3_off & p1=$!
+      fig3_on & p2=$!
+    else
+      fig3_on & p1=$!
+      fig3_off & p2=$!
+    fi
+    wait "$p1"
+    wait "$p2"
     cmp "$od/fig3.off" "$od/fig3.on"
+    pairs="$pairs$(cat "$od/off.s") $(cat "$od/on.s")
+"
   done
-  obs_overhead_pct=$(awk -v off="$fig3_obs_off_wall" -v on="$fig3_obs_on_wall" \
-    'BEGIN { printf "%.1f", (off > 0 ? (on-off)/off*100 : 0) }')
-  echo "obs sampling overhead: fig3 ${fig3_obs_off_wall}s off vs ${fig3_obs_on_wall}s on (${obs_overhead_pct}%)" >&2
+  read -r fig3_obs_off_wall fig3_obs_on_wall obs_overhead_pct < <(printf '%s' "$pairs" | awk '
+    function med(a, b, c,    t) { if (a > b) { t = a; a = b; b = t }; if (b > c) b = c; return a > b ? a : b }
+    { off[NR] = $1; on[NR] = $2; r[NR] = $2 / $1 }
+    END { printf "%.2f %.2f %.1f\n", med(off[1], off[2], off[3]), med(on[1], on[2], on[3]), (med(r[1], r[2], r[3]) - 1) * 100 }')
+  echo "obs sampling overhead: fig3 side by side, median ${fig3_obs_off_wall}s off vs ${fig3_obs_on_wall}s on, median paired ratio ${obs_overhead_pct}%" >&2
+  printf 'pairs (off on, seconds):\n%s' "$pairs" >&2
   rm -rf "$od"
   rm -f "$bin"
 fi
