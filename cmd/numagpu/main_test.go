@@ -422,6 +422,32 @@ func TestRunObsOutput(t *testing.T) {
 	}
 }
 
+// TestRunObsFig5: fig5 simulates its observed run outside the Runner,
+// and under -obs-dir it still writes that run's series, into one run
+// directory, while its table stays as it is without observation.
+func TestRunObsFig5(t *testing.T) {
+	args := []string{"-iterscale", "0.01", "-divisor", "16", "-golden", "fig5"}
+	_, plain, _ := runCLI(t, args...)
+	dir := t.TempDir()
+	code, observed, stderr := runCLI(t, append([]string{"-obs-dir", dir}, args...)...)
+	if code != 0 {
+		t.Fatalf("exit %d, want 0 (stderr: %s)", code, stderr)
+	}
+	if observed != plain {
+		t.Fatalf("-obs-dir changed fig5's output:\n--- without ---\n%s\n--- with ---\n%s", plain, observed)
+	}
+	runs, err := os.ReadDir(dir)
+	if err != nil || len(runs) != 1 || !runs[0].IsDir() {
+		t.Fatalf("want one run directory under %s, got %v (err %v)", dir, runs, err)
+	}
+	for _, name := range []string{"series.csv", "series.json"} {
+		b, err := os.ReadFile(filepath.Join(dir, runs[0].Name(), name))
+		if err != nil || len(b) == 0 {
+			t.Fatalf("%s missing or empty (err %v)", name, err)
+		}
+	}
+}
+
 func TestRunCSVOutput(t *testing.T) {
 	dir := t.TempDir()
 	code, _, stderr := runCLI(t, "-csv", dir, "table2")

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/arch"
@@ -69,7 +70,14 @@ type System struct {
 	kernelMarks []sim.Time
 	kernelTimes []uint64
 	endTime     sim.Time
-	finished    bool
+	started     bool // Run was called since the last Reset
+	finished    bool // and completed
+
+	// Per-kernel CTA decomposition, reused across kernels and runs
+	// (see partitionCTAs): one CTA list per socket, and one backing
+	// array holding every CTA's warp streams.
+	ctaLists [][]smcore.CTA
+	warpBuf  []smcore.InstrStream
 }
 
 // NewSystem builds a NUMA GPU from cfg.
@@ -78,10 +86,11 @@ func NewSystem(cfg arch.Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{
-		cfg:     cfg,
-		mem:     vmm.NewWeighted(cfg.Sockets, cfg.Placement, socketWeights(cfg)),
-		drain:   &gpu.Drain{},
-		rtxFree: -1,
+		cfg:      cfg,
+		mem:      vmm.NewWeighted(cfg.Sockets, cfg.Placement, socketWeights(cfg)),
+		drain:    &gpu.Drain{},
+		rtxFree:  -1,
+		ctaLists: make([][]smcore.CTA, cfg.Sockets),
 	}
 	s.eng = sim.New()
 	s.readHomeEv = s.eng.Bind(s.readHome)
@@ -321,12 +330,51 @@ func (s *System) traceXfer(kind []int32, i int) {
 // Runtime: kernel decomposition, launch, coherence, completion.
 // ---------------------------------------------------------------------
 
-// Run executes prog to completion and returns its measurements. A
-// System is single-use: build a fresh one per run.
-func (s *System) Run(prog Program) Result {
-	if s.finished || s.kernels != nil {
-		panic("core: System is single-use; construct a new one per Run")
+// Reset returns a System whose Run completed to the state NewSystem
+// built, so that it can run the next program of the same
+// configuration: the engine, memory map, fabric, sockets and drain are
+// reset in place, and every pool, table, cache array and event slab
+// keeps the storage it grew to. The next Run's Result is identical to
+// a fresh System's. A System that has not run yet is left as it is.
+// Reset refuses an observed System, whose series and trace belong to
+// one run, and a System whose Run did not finish, whose state is
+// unknown; build a fresh System instead.
+func (s *System) Reset() error {
+	switch {
+	case s.obsc != nil:
+		return errors.New("core: an observed System cannot be reset")
+	case s.started && !s.finished:
+		return errors.New("core: cannot reset a System whose Run did not finish")
+	case !s.started:
+		return nil
 	}
+	s.eng.Reset()
+	s.mem.Reset()
+	if s.fabric != nil {
+		s.fabric.Reset()
+	}
+	for _, sock := range s.sockets {
+		sock.Reset()
+	}
+	s.drain.Reset()
+	s.balancers, s.partitions = nil, nil
+	s.rtx, s.rtxFree, s.rtxUsed = s.rtx[:0], -1, 0
+	clear(s.warpBuf) // drop the last program's streams
+	s.kernels, s.kernelIdx, s.socketsLeft, s.kernelStart = nil, 0, 0, 0
+	// New slices, not truncated ones: the last Result keeps its
+	// KernelCycles and a caller its KernelLaunches.
+	s.kernelMarks, s.kernelTimes = nil, nil
+	s.endTime, s.started, s.finished = 0, false, false
+	return nil
+}
+
+// Run executes prog to completion and returns its measurements. A
+// System runs once per Reset: a second Run without one panics.
+func (s *System) Run(prog Program) Result {
+	if s.started {
+		panic("core: System already ran; Reset it (or build a new one) before the next Run")
+	}
+	s.started = true
 	if prog.Setup != nil {
 		prog.Setup(s.mem)
 	}
@@ -450,14 +498,24 @@ func (s *System) launchNext() {
 }
 
 // partitionCTAs decomposes kernel k into per-socket CTA lists per the
-// configured scheduling policy (Section 3).
+// configured scheduling policy (Section 3). The lists and the CTAs'
+// warp slices reuse the System's buffers: a kernel launches only after
+// every socket dispatched all of the previous kernel's CTAs, and an SM
+// copies a CTA's streams into its warp slots at launch.
 func (s *System) partitionCTAs(k Kernel) [][]smcore.CTA {
 	n := s.cfg.Sockets
-	out := make([][]smcore.CTA, n)
+	out := s.ctaLists
+	for i := range out {
+		out[i] = out[i][:0]
+	}
 	total := k.CTAs()
 	warps := k.WarpsPerCTA()
+	if cap(s.warpBuf) < total*warps {
+		s.warpBuf = make([]smcore.InstrStream, total*warps)
+	}
+	buf := s.warpBuf[:total*warps]
 	build := func(c int) smcore.CTA {
-		cta := smcore.CTA{ID: c, Warps: make([]smcore.InstrStream, warps)}
+		cta := smcore.CTA{ID: c, Warps: buf[c*warps : (c+1)*warps : (c+1)*warps]}
 		for w := 0; w < warps; w++ {
 			cta.Warps[w] = k.Warp(c, w)
 		}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/smcore"
+	"repro/internal/vmm"
 	"repro/internal/workload"
 )
 
@@ -242,5 +243,29 @@ func TestSystemString(t *testing.T) {
 	sys := core.MustSystem(arch.TestConfig())
 	if sys.String() == "" {
 		t.Fatal("empty string representation")
+	}
+}
+
+// TestLinkBytesCountsEveryLinkCrossed pins what Result.LinkBytes
+// counts: each message once per link it crosses. One warp on socket 1
+// reads one line homed on socket 0 of a 2-socket synthesized star; the
+// request and the response each cross socket 1's link and socket 0's.
+func TestLinkBytesCountsEveryLinkCrossed(t *testing.T) {
+	cfg := arch.TestConfig()
+	cfg.Sockets = 2
+	if cfg.RequestHeader != 32 || cfg.ResponseHeader != 32 {
+		t.Fatalf("headers %d/%d, the test assumes 32/32", cfg.RequestHeader, cfg.ResponseHeader)
+	}
+	res := core.MustSystem(cfg).Run(core.Program{
+		Setup: func(m *vmm.Memory) { m.Preplace(0, arch.PageSize, 0) },
+		// Block scheduling puts the one CTA on socket 1.
+		Kernels: []core.Kernel{&gridKernel{ctas: 1, warps: 1, loads: 1}},
+	})
+	if res.Loads != 1 || res.RemoteAccessFraction != 1 {
+		t.Fatalf("loads %d, remote fraction %v: want one remote read", res.Loads, res.RemoteAccessFraction)
+	}
+	const request, response = 32, arch.LineSize + 32
+	if want := uint64(2*request + 2*response); res.LinkBytes != want || want != 384 {
+		t.Fatalf("one remote read added %d link bytes, want %d", res.LinkBytes, want)
 	}
 }

@@ -31,8 +31,12 @@ type Result struct {
 	L2LocalHitRate  float64 `json:"l2_local_hit_rate"`
 	L2RemoteHitRate float64 `json:"l2_remote_hit_rate"`
 
-	// Interconnect.
-	LinkBytes  uint64 `json:"link_bytes"` // both directions, all links
+	// Interconnect. LinkBytes sums the bytes every link carried in
+	// both directions, so a message counts once per link it crosses:
+	// on the synthesized star a socket-to-socket message crosses two
+	// (socket to switch, switch to socket), and one remote line read
+	// (a 32-byte request, a 160-byte response) adds 384.
+	LinkBytes  uint64 `json:"link_bytes"`
 	LaneTurns  uint64 `json:"lane_turns"`
 	WayShifts  uint64 `json:"way_shifts"`
 	FlushLines uint64 `json:"flush_lines"`

@@ -110,8 +110,13 @@ const cacheSchema = 3
 // custom Spec under an existing table name must not share a Cache with
 // runs of the table workload.
 func (r *Runner) RunKey(cfg arch.Config, spec workload.Spec) string {
+	return runKey(r.opts, cfg, spec)
+}
+
+// runKey is RunKey under options o.
+func runKey(o Options, cfg arch.Config, spec workload.Spec) string {
 	return fmt.Sprintf("v%d|%s.%s|%s|iter%g.cap%d",
-		cacheSchema, cfgKey(cfg), machineKey(cfg), spec.Name, r.opts.IterScale, r.opts.MaxCTAs)
+		cacheSchema, cfgKey(cfg), machineKey(cfg), spec.Name, o.IterScale, o.MaxCTAs)
 }
 
 // machineKey fingerprints the arch.Config fields cfgKey leaves out:
@@ -140,6 +145,7 @@ func machineKey(c arch.Config) string {
 // zero value is ready to use.
 type counters struct {
 	sims          atomic.Uint64
+	systems       atomic.Uint64 // core.Systems built; below sims when pool workers reuse theirs
 	cacheHits     atomic.Uint64
 	cacheMisses   atomic.Uint64
 	remoteRuns    atomic.Uint64

@@ -234,7 +234,7 @@ func cfgKey(c arch.Config) string {
 // (counted in Stats) and only simulates — then writes back — on a
 // cache miss, so warm results cost one Get instead of a simulation.
 func (r *Runner) Run(cfg arch.Config, spec workload.Spec) core.Result {
-	res, _ := r.runKeyed(r.RunKey(cfg, spec), cfg, spec)
+	res, _ := r.runKeyed(r.RunKey(cfg, spec), cfg, spec, nil)
 	return res
 }
 
@@ -269,8 +269,10 @@ func (r *Runner) finish(key string, e *memoEntry, src RunSource) {
 // call was satisfied: the winning caller sees the real source
 // (simulated, cached, remote); a caller that found the key already
 // complete sees SourceCached; a caller that blocked on another
-// caller's in-flight execution sees SourceCoalesced.
-func (r *Runner) runKeyed(key string, cfg arch.Config, spec workload.Spec) (core.Result, RunSource) {
+// caller's in-flight execution sees SourceCoalesced. A local
+// unobserved simulation runs on the pool worker's System when slot
+// holds one of the same configuration; a nil slot builds a fresh one.
+func (r *Runner) runKeyed(key string, cfg arch.Config, spec workload.Spec, slot *sysSlot) (core.Result, RunSource) {
 	e := r.entry(key)
 	wasDone := e.done.Load()
 	won := false
@@ -319,11 +321,17 @@ func (r *Runner) runKeyed(key string, cfg arch.Config, spec workload.Spec) (core
 		simCfg := cfg
 		if observed {
 			// Applied after RunKey/cfgKey: observation must not change
-			// run identity.
+			// run identity. An observed System serves one run only.
 			simCfg.Obs = r.opts.Obs
+			slot = nil
 		}
-		sys := core.MustSystem(simCfg)
+		sys := slot.take(simCfg)
+		if sys == nil {
+			sys = core.MustSystem(simCfg)
+			r.systems.Add(1)
+		}
 		res := sys.Run(spec.Program(r.opts.workloadOptions()))
+		slot.keep(sys)
 		res.Name = spec.Name
 		e.res = res
 		if observed && r.opts.ObsSink != nil {
@@ -368,32 +376,120 @@ type RunRequest struct {
 // Options.Parallelism at a time, and returns the results in request
 // order: out[i] is the result of reqs[i]. Duplicate requests (and
 // requests whose key is already memoized) cost nothing extra — the
-// singleflight memo shares the one underlying simulation. Because each
-// simulation is deterministic and owns its engine, the returned slice
-// is identical to what a sequential loop over Run would produce. If
-// any simulation panics, RunAll finishes draining the sweep and then
-// re-raises one of the recorded panic values (the first to complete,
-// not necessarily the first in request order) on the caller's
-// goroutine.
+// singleflight memo shares the one underlying simulation. The pool
+// takes the requests grouped by configuration (see byConfig), and each
+// worker resets the System of its last run for the next run of the
+// same configuration instead of building a new one. Because each
+// simulation is deterministic and a reset System runs exactly as a
+// fresh one, the returned slice is identical to what a sequential loop
+// over Run would produce; only completion order, and with it the order
+// of Options.OnResult calls, follows the grouping. If any simulation
+// panics, RunAll finishes draining the sweep and then re-raises one of
+// the recorded panic values (the first to complete, not necessarily
+// the first in request order) on the caller's goroutine.
 func (r *Runner) RunAll(reqs []RunRequest) []core.Result {
-	return runPool(r.opts.Parallelism, len(reqs), func(i int) core.Result {
-		return r.Run(reqs[i].Cfg, reqs[i].Spec)
+	order := byConfig(len(reqs), func(i int) arch.Config { return reqs[i].Cfg })
+	return runPool(r.opts.Parallelism, len(reqs), order, func(i int, w *sysSlot) core.Result {
+		res, _ := r.runKeyed(r.RunKey(reqs[i].Cfg, reqs[i].Spec), reqs[i].Cfg, reqs[i].Spec, w)
+		return res
 	})
 }
 
+// byConfig returns the order in which a sweep of n runs, run i under
+// configuration cfg(i), goes to the pool: grouped by configuration,
+// the groups in order of their first run and each group in run order,
+// so that a pool worker's next run mostly shares its last one's
+// configuration. When every run shares one configuration it returns
+// nil, meaning run order, and allocates nothing.
+func byConfig(n int, cfg func(i int) arch.Config) []int {
+	same := 1
+	for same < n && cfg(same) == cfg(0) {
+		same++
+	}
+	if same >= n {
+		return nil
+	}
+	group := make([]int, n) // run → group, numbered by first run
+	first := map[arch.Config]int{}
+	for i := range group {
+		g, ok := first[cfg(i)]
+		if !ok {
+			g = len(first)
+			first[cfg(i)] = g
+		}
+		group[i] = g
+	}
+	// A counting sort by group keeps run order within each group.
+	next := make([]int, len(first)+1)
+	for _, g := range group {
+		next[g+1]++
+	}
+	for g := 1; g < len(next); g++ {
+		next[g] += next[g-1]
+	}
+	order := make([]int, n)
+	for i, g := range group {
+		order[next[g]] = i
+		next[g]++
+	}
+	return order
+}
+
+// sysSlot is one pool worker's System: the one its last local
+// simulation ran on, kept for the rest of the pool's life. A System
+// holds a few megabytes of caches, tables and event slab, so no slot
+// outlives its pool.
+type sysSlot struct {
+	sys *core.System
+}
+
+// take hands out the slot's System, reset, when it was built for cfg,
+// and otherwise nil: the caller builds a new one. The slot is empty
+// afterwards, so a System whose run panics is never reused, and one
+// of another configuration can be collected before its successor is
+// built. A nil slot holds nothing.
+func (w *sysSlot) take(cfg arch.Config) *core.System {
+	if w == nil || w.sys == nil {
+		return nil
+	}
+	sys := w.sys
+	w.sys = nil
+	if sys.Config() != cfg || sys.Reset() != nil {
+		return nil
+	}
+	return sys
+}
+
+// keep stores sys, whose run completed, for the worker's next run.
+func (w *sysSlot) keep(sys *core.System) {
+	if w != nil {
+		w.sys = sys
+	}
+}
+
 // runPool executes n indexed tasks on at most par workers, preserving
-// index order in the returned slice. If any task panics, the pool
-// finishes draining and re-raises one recorded panic value (the first
-// to complete, not necessarily the first by index) on the caller's
-// goroutine. Shared by Runner.RunAll and Session.RunAll.
-func runPool(par, n int, run func(i int) core.Result) []core.Result {
+// index order in the returned slice. Tasks are handed out in order
+// (nil: index order), and each worker passes the tasks it runs one
+// sysSlot of its own. If any task panics, the pool finishes draining
+// and re-raises one recorded panic value (the first to complete, not
+// necessarily the first by index) on the caller's goroutine. Shared by
+// Runner.RunAll and Session.RunAll.
+func runPool(par, n int, order []int, run func(i int, slot *sysSlot) core.Result) []core.Result {
 	out := make([]core.Result, n)
+	task := func(j int) int {
+		if order != nil {
+			return order[j]
+		}
+		return j
+	}
 	if par > n {
 		par = n
 	}
 	if par <= 1 {
-		for i := range out {
-			out[i] = run(i)
+		var slot sysSlot
+		for j := range out {
+			i := task(j)
+			out[i] = run(i, &slot)
 		}
 		return out
 	}
@@ -407,6 +503,7 @@ func runPool(par, n int, run func(i int) core.Result) []core.Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var slot sysSlot
 			for i := range idx {
 				func() {
 					defer func() {
@@ -414,13 +511,13 @@ func runPool(par, n int, run func(i int) core.Result) []core.Result {
 							panicOnce.Do(func() { panicVal = p })
 						}
 					}()
-					out[i] = run(i)
+					out[i] = run(i, &slot)
 				}()
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
+	for j := 0; j < n; j++ {
+		idx <- task(j)
 	}
 	close(idx)
 	wg.Wait()

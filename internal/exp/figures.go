@@ -102,16 +102,24 @@ func Figure3(r Harness) Result {
 // launches marked. The profile is the observability layer's per-link
 // egress_util/ingress_util series, sampled every 2,000 cycles. The
 // observed run simulates on its own System outside the Runner: an
-// observed Runner run would skip the cache and Options.Backend.
+// observed Runner run would skip the cache and Options.Backend. When
+// Options.Obs asks for observation, the run's collector goes to
+// Options.ObsSink like any observed run's, with a trace if Options.Obs
+// asks for one.
 func Figure5(r Harness) Result {
 	spec, ok := workload.ByName("HPC-HPGMG-UVM")
 	if !ok {
 		panic("exp: HPC-HPGMG-UVM missing from workload table")
 	}
+	opts := r.Options()
 	cfg := r.Base(4)
-	cfg.Obs = arch.ObsSpec{Series: true, SamplePeriod: 2000}
-	sys := core.MustSystem(cfg)
-	res := sys.Run(spec.Program(r.Options().workloadOptions()))
+	observed := cfg
+	observed.Obs = arch.ObsSpec{Series: true, SamplePeriod: 2000, Trace: opts.Obs.Trace}
+	sys := core.MustSystem(observed)
+	res := sys.Run(spec.Program(opts.workloadOptions()))
+	if opts.Obs.Enabled() && opts.ObsSink != nil {
+		opts.ObsSink(runKey(opts, cfg, spec), spec, sys.Obs())
+	}
 	links := linkUtil(sys)
 	marks := sys.KernelLaunches()
 

@@ -79,17 +79,17 @@ func (s *Session) evaluated() []workload.Spec { return s.r.evaluated() }
 // reports its completion to the session callback.
 func (s *Session) Run(cfg arch.Config, spec workload.Spec) core.Result {
 	key := s.r.RunKey(cfg, spec)
-	res, src := s.r.runKeyed(key, cfg, spec)
+	res, src := s.r.runKeyed(key, cfg, spec, nil)
 	s.emit(key, res, src)
 	return res
 }
 
-// RunAll mirrors Runner.RunAll — same pool, same request-order
-// guarantee — with every completion flowing through the session
-// callback. Each key runs once however often the sweep repeats it: a
-// repeat in flight alongside the first request would otherwise race
-// it to the callback and could report the session's own simulation as
-// coalesced.
+// RunAll mirrors Runner.RunAll — same pool, same grouping by
+// configuration, same request-order guarantee — with every completion
+// flowing through the session callback. Each key runs once however
+// often the sweep repeats it: a repeat in flight alongside the first
+// request would otherwise race it to the callback and could report
+// the session's own simulation as coalesced.
 func (s *Session) RunAll(reqs []RunRequest) []core.Result {
 	keys := make([]string, len(reqs))
 	slot := make(map[string]int, len(reqs)) // key → index into uniq
@@ -101,12 +101,16 @@ func (s *Session) RunAll(reqs []RunRequest) []core.Result {
 			uniq = append(uniq, i)
 		}
 	}
-	res := runPool(s.r.opts.Parallelism, len(uniq), func(j int) core.Result {
+	order := byConfig(len(uniq), func(j int) arch.Config { return reqs[uniq[j]].Cfg })
+	res := runPool(s.r.opts.Parallelism, len(uniq), order, func(j int, w *sysSlot) core.Result {
 		i := uniq[j]
-		r, src := s.r.runKeyed(keys[i], reqs[i].Cfg, reqs[i].Spec)
+		r, src := s.r.runKeyed(keys[i], reqs[i].Cfg, reqs[i].Spec, w)
 		s.emit(keys[i], r, src)
 		return r
 	})
+	if len(uniq) == len(reqs) {
+		return res // no key repeats, so res is already in request order
+	}
 	out := make([]core.Result, len(reqs))
 	for i := range reqs {
 		out[i] = res[slot[keys[i]]]

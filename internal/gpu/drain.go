@@ -14,6 +14,9 @@ type Drain struct {
 	idle func()
 }
 
+// Reset forgets every outstanding write and any registered waiter.
+func (d *Drain) Reset() { *d = Drain{} }
+
 // Inc records one outstanding write.
 func (d *Drain) Inc() { d.n++ }
 

@@ -45,7 +45,13 @@ type txPool struct {
 
 func (p *txPool) init(capHint int) {
 	p.txs = make([]memTx, 0, capHint)
-	p.free = nilIdx
+	p.reset()
+}
+
+// reset empties the pool, keeping its storage, so indices come out in
+// the order of a fresh pool.
+func (p *txPool) reset() {
+	p.txs, p.free, p.used = p.txs[:0], nilIdx, 0
 }
 
 func (p *txPool) alloc(sm, slot, left int32) int32 {
@@ -93,7 +99,11 @@ type reqPool struct {
 
 func (p *reqPool) init(capHint int) {
 	p.reqs = make([]lineReq, 0, capHint)
-	p.free = nilIdx
+	p.reset()
+}
+
+func (p *reqPool) reset() {
+	p.reqs, p.free, p.used = p.reqs[:0], nilIdx, 0
 }
 
 func (p *reqPool) alloc(line arch.LineID, home arch.SocketID, cl mem.Class, sm, tx int32) int32 {
@@ -139,7 +149,11 @@ type homePool struct {
 
 func (p *homePool) init(capHint int) {
 	p.reqs = make([]homeReq, 0, capHint)
-	p.free = nilIdx
+	p.reset()
+}
+
+func (p *homePool) reset() {
+	p.reqs, p.free, p.used = p.reqs[:0], nilIdx, 0
 }
 
 func (p *homePool) alloc(line arch.LineID, done sim.Handler, arg int) int32 {
@@ -182,7 +196,11 @@ type waiterPool struct {
 
 func (p *waiterPool) init(capHint int) {
 	p.nodes = make([]waiterNode, 0, capHint)
-	p.free = nilIdx
+	p.reset()
+}
+
+func (p *waiterPool) reset() {
+	p.nodes, p.free, p.used = p.nodes[:0], nilIdx, 0
 }
 
 func (p *waiterPool) alloc(val int32) int32 {

@@ -167,8 +167,38 @@ func NewSocket(eng *sim.Engine, cfg arch.Config, id arch.SocketID, memMap *vmm.M
 		s.l1Pending[i].Init(64)
 		s.SMs = append(s.SMs, smcore.NewSM(eng, s, i, cfg.MaxWarpsPerSM, cfg.MaxCTAsPerSM, cfg.IssueWidth, s.onCTADone))
 	}
-	s.applyModePartitions()
+	s.Reset()
 	return s
+}
+
+// Reset returns the socket to the state NewSocket built: caches,
+// DRAM, crossbar and SMs empty and idle, no pending miss, the record
+// pools empty so their indices come out as in a fresh socket, no
+// queued CTA, zero statistics, and the cache mode's way partitions.
+// Every table and pool keeps its storage. The socket must be quiescent
+// (a completed run leaves it so).
+func (s *Socket) Reset() {
+	s.xbar.Reset()
+	s.l2.Reset()
+	s.dram.Reset()
+	for i, l1 := range s.l1s {
+		l1.Reset()
+		s.l1Pending[i].Clear()
+		s.SMs[i].Reset()
+	}
+	s.l2Pending.Clear()
+	s.rmPending.Clear()
+	s.txs.reset()
+	s.reqs.reset()
+	s.chain.reset()
+	s.homes.reset()
+	s.queue, s.queueHead, s.ctasLeft = nil, 0, 0
+	s.dispatched = stats.Counter{}
+	s.remoteReqs, s.remoteResp = stats.Meter{}, stats.Meter{}
+	s.LoadsLocal, s.LoadsRemote = stats.Counter{}, stats.Counter{}
+	s.StoresLocal, s.StoresRemote = stats.Counter{}, stats.Counter{}
+	s.FlushedLines = stats.Counter{}
+	s.applyModePartitions()
 }
 
 // applyModePartitions sets the L1/L2 way split demanded by the cache

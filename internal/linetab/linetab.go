@@ -46,6 +46,14 @@ func (t *Table[K, V]) Init(slots int) {
 	t.n = 0
 }
 
+// Clear removes every key and keeps the slots, so a table refilled to
+// its old size does not grow again.
+func (t *Table[K, V]) Clear() {
+	clear(t.keys)
+	clear(t.vals)
+	t.n = 0
+}
+
 func (t *Table[K, V]) alloc(slots int) {
 	t.keys = make([]uint64, slots)
 	t.vals = make([]V, slots)

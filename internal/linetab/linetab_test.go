@@ -199,3 +199,30 @@ func TestTableZeroValueAndInit(t *testing.T) {
 		}
 	}
 }
+
+// TestTableClearKeepsSlots: Clear empties the table and keeps its
+// slots, so refilling it to the same size does not grow it again.
+func TestTableClearKeepsSlots(t *testing.T) {
+	var tab Table[lineID, int32]
+	for k := lineID(0); k < 500; k++ {
+		tab.Put(k*7, int32(k))
+	}
+	slots := len(tab.keys)
+	tab.Clear()
+	if tab.Len() != 0 || len(tab.keys) != slots {
+		t.Fatalf("Clear left %d keys in %d slots (had %d slots)", tab.Len(), len(tab.keys), slots)
+	}
+	for k := lineID(0); k < 500; k++ {
+		if _, ok := tab.Find(k * 7); ok {
+			t.Fatalf("key %d survived Clear", k*7)
+		}
+	}
+	for k := lineID(0); k < 500; k++ {
+		if _, found := tab.FindOrInsert(k*7+1, int32(k)); found {
+			t.Fatalf("key %d found in a cleared table", k*7+1)
+		}
+	}
+	if len(tab.keys) != slots {
+		t.Fatalf("refilling a cleared table grew it from %d to %d slots", slots, len(tab.keys))
+	}
+}

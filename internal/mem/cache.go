@@ -62,6 +62,7 @@ type Cache struct {
 	stamp     uint64
 	ways      [numClasses]int // current partition, sums to assoc
 	partition bool            // false: classes share all ways
+	dirty     []Victim        // InvalidateAll's result, reused per call
 
 	// Stats per class.
 	Hit   [numClasses]stats.HitRate
@@ -115,8 +116,21 @@ func NewCache(sizeBytes, assoc int) *Cache {
 		tags:    make([]uint64, sets*assoc),
 		lru:     make([]uint64, sets*assoc),
 	}
-	c.ways[ClassLocal] = assoc
+	c.Reset()
 	return c
+}
+
+// Reset returns the cache to the state NewCache built: every way
+// invalid, the stamp and statistics at zero, and no partition. It
+// keeps the arrays.
+func (c *Cache) Reset() {
+	clear(c.tags)
+	clear(c.lru)
+	c.stamp = 0
+	c.ClearPartition()
+	c.Hit = [numClasses]stats.HitRate{}
+	c.Fills = [numClasses]stats.Counter{}
+	c.Evic = [numClasses]stats.Counter{}
 }
 
 // Sets and Assoc report the geometry.
@@ -267,9 +281,10 @@ func (c *Cache) Fill(l arch.LineID, cl Class, dirty bool) (Victim, bool) {
 
 // InvalidateAll invalidates every line for which keep returns false and
 // returns the dirty lines among them (so the caller can route
-// writebacks). A nil keep invalidates everything.
+// writebacks). A nil keep invalidates everything. The returned slice
+// is the cache's own buffer, valid until the next call.
 func (c *Cache) InvalidateAll(keep func(cl Class) bool) []Victim {
-	var dirty []Victim
+	dirty := c.dirty[:0]
 	for w, t := range c.tags {
 		if t == 0 {
 			continue
@@ -283,6 +298,7 @@ func (c *Cache) InvalidateAll(keep func(cl Class) bool) []Victim {
 		}
 		c.tags[w], c.lru[w] = 0, 0
 	}
+	c.dirty = dirty
 	return dirty
 }
 

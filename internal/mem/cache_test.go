@@ -313,3 +313,53 @@ func TestPropertyWaysAlwaysSumToAssoc(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInvalidateAllReusesVictimBuffer: a kernel-boundary flush of a
+// warmed cache allocates nothing; the dirty victims come back in the
+// cache's own buffer.
+func TestInvalidateAllReusesVictimBuffer(t *testing.T) {
+	c := tiny()
+	fill := func() {
+		for l := arch.LineID(0); l < 16; l++ {
+			c.Fill(l, ClassLocal, l%2 == 0)
+		}
+	}
+	fill()
+	if n := len(c.InvalidateAll(nil)); n != 8 {
+		t.Fatalf("flush returned %d dirty victims, want 8", n)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		fill()
+		if len(c.InvalidateAll(nil)) != 8 {
+			t.Fatal("flush lost dirty victims")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warmed flush allocated %.0f times", allocs)
+	}
+}
+
+// TestResetMatchesNew: a used, partitioned cache after Reset behaves
+// as a new one: empty, unpartitioned, with zero statistics, and it
+// fills and evicts in the same order.
+func TestResetMatchesNew(t *testing.T) {
+	c, fresh := tiny(), tiny()
+	for l := arch.LineID(0); l < 40; l++ {
+		c.Fill(l, Class(l%2), l%3 == 0)
+		c.Lookup(l/2, ClassLocal)
+	}
+	if err := c.SetPartition(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	c.Reset()
+	if local, remote := c.CountValid(); local+remote != 0 || c.Partitioned() || c.Hit != fresh.Hit || c.Fills != fresh.Fills || c.Evic != fresh.Evic {
+		t.Fatalf("Reset left %d+%d lines, partitioned=%v, hits %v, fills %v", local, remote, c.Partitioned(), c.Hit, c.Fills)
+	}
+	for l := arch.LineID(0); l < 40; l++ {
+		v1, e1 := c.Fill(l*5, Class(l%2), l%3 == 0)
+		v2, e2 := fresh.Fill(l*5, Class(l%2), l%3 == 0)
+		if v1 != v2 || e1 != e2 {
+			t.Fatalf("fill %d after Reset evicted %+v/%v, a new cache %+v/%v", l, v1, e1, v2, e2)
+		}
+	}
+}

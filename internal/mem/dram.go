@@ -27,6 +27,14 @@ func NewDRAM(eng *sim.Engine, bandwidth float64, latency int) *DRAM {
 	return &DRAM{srv: sim.NewServer(eng, bandwidth, latency)}
 }
 
+// Reset idles the channel and zeroes the meter and counters.
+func (d *DRAM) Reset() {
+	d.srv.Reset()
+	d.Bytes = stats.Meter{}
+	d.Reads = stats.Counter{}
+	d.Writes = stats.Counter{}
+}
+
 // ReadArg fetches size bytes and runs handler h with arg when the data
 // is available — the MSHR fill path passes a pooled miss-record index
 // through arg instead of allocating a completion closure per fetch.

@@ -22,6 +22,12 @@ func New(eng *sim.Engine, bandwidth float64, latency int) *Crossbar {
 	return &Crossbar{srv: sim.NewServer(eng, bandwidth, latency)}
 }
 
+// Reset idles the crossbar and zeroes its meter.
+func (x *Crossbar) Reset() {
+	x.srv.Reset()
+	x.Bytes = stats.Meter{}
+}
+
 // SendArg moves size bytes across the crossbar and runs handler h with
 // arg on delivery — the datapath's pooled-continuation path (h is a
 // stage bound once per socket, arg a transaction index). A zero h is

@@ -188,7 +188,10 @@ func (e *Engine) insert(at Time, h Handler, arg int) {
 // grow appends a fresh record to the slab and returns its index.
 func (e *Engine) grow() int32 {
 	if len(e.slab) == 0 {
-		e.slab = make([]record, 1, 256) // slab[0] is the nil link
+		if cap(e.slab) == 0 {
+			e.slab = make([]record, 0, 256)
+		}
+		e.slab = append(e.slab, record{}) // slab[0] is the nil link
 	}
 	e.slab = append(e.slab, record{})
 	return int32(len(e.slab) - 1)
@@ -252,7 +255,10 @@ func (e *Engine) queueSide(at Time, fn Event) {
 		e.sideFree = e.side[i].next
 	} else {
 		if len(e.side) == 0 {
-			e.side = make([]callback, 1, 16) // side[0] is the nil link
+			if cap(e.side) == 0 {
+				e.side = make([]callback, 0, 16)
+			}
+			e.side = append(e.side, callback{}) // side[0] is the nil link
 		}
 		e.side = append(e.side, callback{})
 		i = int32(len(e.side) - 1)
@@ -402,13 +408,19 @@ func (e *Engine) RunUntil(deadline Time) bool {
 // simulation — any events still queued (after a RunUntil stop, a
 // stopped Ticker, or an abandoned run) are discarded rather than leaking
 // into the next run, and the side table releases the closures they
-// held. Handlers bound with Bind stay bound.
+// held. Handlers bound with Bind stay bound, and the slab, far heap and
+// side table keep their capacity, so a reused engine queues its next
+// run without growing them again. A drained ring is already empty, so
+// only an engine with events still queued pays for clearing it.
 func (e *Engine) Reset() {
-	e.slab, e.far, e.side = nil, nil, nil
+	if e.ringN > 0 {
+		e.occ = [occWords]uint64{}
+		e.sum = [sumWords]uint64{}
+		e.ring = [ringSize]cycleList{}
+	}
+	clear(e.side)
+	e.slab, e.far, e.side = e.slab[:0], e.far[:0], e.side[:0]
 	e.now, e.seq, e.nRun, e.ringN, e.free, e.sideFree = 0, 0, 0, 0, 0, 0
-	e.occ = [occWords]uint64{}
-	e.sum = [sumWords]uint64{}
-	e.ring = [ringSize]cycleList{}
 }
 
 // The far heap: a binary min-heap of (time, seq, slab index) entries.

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -440,5 +441,45 @@ func TestQueueEntriesArePointerFree(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(record{}); n != 16 {
 		t.Errorf("record is %d bytes, want 16", n)
+	}
+}
+
+// TestResetKeepsStorage: a drained engine's Reset keeps the slab, far
+// heap and side table it grew, so it runs the same schedule again
+// without allocating, in the same order as a new engine.
+func TestResetKeepsStorage(t *testing.T) {
+	var order []int
+	run := func(e *Engine, h Handler) {
+		for i := 0; i < 2000; i++ {
+			e.ScheduleArg(Time(i%97), h, i)
+		}
+		e.ScheduleArg(3*ringSize, h, -1)
+		e.Schedule(5, func(Time) {})
+		e.Run()
+	}
+	e := New()
+	h := e.Bind(func(_ Time, arg int) { order = append(order, arg) })
+	run(e, h)
+	slab, far, side := cap(e.slab), cap(e.far), cap(e.side)
+	order = make([]int, 0, 2*len(order))
+	allocs := testing.AllocsPerRun(3, func() {
+		order = order[:0]
+		e.Reset()
+		run(e, h)
+	})
+	if allocs != 0 {
+		t.Fatalf("a reset engine allocated %.0f times rerunning its schedule", allocs)
+	}
+	if cap(e.slab) != slab || cap(e.far) != far || cap(e.side) != side {
+		t.Fatalf("storage changed across Reset: slab %d→%d, far %d→%d, side %d→%d",
+			slab, cap(e.slab), far, cap(e.far), side, cap(e.side))
+	}
+	got := slices.Clone(order)
+	fresh := New()
+	order = order[:0]
+	run(fresh, fresh.Bind(func(_ Time, arg int) { order = append(order, arg) }))
+	if !slices.Equal(got, order) || fresh.Executed() != e.Executed() || fresh.Now() != e.Now() {
+		t.Fatalf("a reset engine ran %d events to %d, a new one %d to %d, or in another order",
+			e.Executed(), e.Now(), fresh.Executed(), fresh.Now())
 	}
 }

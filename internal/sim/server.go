@@ -27,6 +27,11 @@ func NewServer(eng *Engine, bandwidth float64, latency int) *Server {
 	return &Server{eng: eng, bandwidth: bandwidth, latency: Time(latency)}
 }
 
+// Reset empties the server's queue: the next transfer starts on an
+// idle wire. The bandwidth stays as it is; a component that changes it
+// restores its own design value.
+func (s *Server) Reset() { s.nextFree = 0 }
+
 // SetBandwidth changes the server's bandwidth from now on. In-flight
 // transfers keep their original completion times; the link balancer uses
 // this when lanes are re-pointed.

@@ -87,19 +87,33 @@ func NewSM(eng *sim.Engine, port MemPort, id, maxWarps, maxCTAs, issueWidth int,
 		maxCTAs:    maxCTAs,
 		issueWidth: issueWidth,
 		warps:      make([]warpSlot, maxWarps),
+		free:       make([]int, maxWarps),
 		ready:      make([]int, 0, maxWarps),
-		current:    -1,
 		ctaLeft:    make(map[int]int, maxCTAs),
 		onCTADne:   onCTADone,
 		lines:      make([]arch.LineID, 0, lineBufCap),
 	}
-	s.free = make([]int, maxWarps)
-	for i := range s.free {
-		s.free[i] = maxWarps - 1 - i
-	}
+	s.Reset()
 	s.tickEv = eng.Bind(s.issueTick)
 	s.wakeEv = eng.Bind(func(_ sim.Time, slot int) { s.wake(slot) })
 	return s
+}
+
+// Reset empties the SM into the state NewSM built: every warp slot
+// free, in the order NewSM frees them (slot 0 is launched first), no
+// ready warp, and zero statistics. It keeps its storage.
+func (s *SM) Reset() {
+	clear(s.warps)
+	s.free = s.free[:s.maxWarps]
+	for i := range s.free {
+		s.free[i] = s.maxWarps - 1 - i
+	}
+	s.ready, s.rHead = s.ready[:0], 0
+	s.current, s.running = -1, false
+	s.nWarps, s.nCTAs = 0, 0
+	clear(s.ctaLeft)
+	s.in = Instr{}
+	s.Issued, s.LoadOps, s.StoreOps, s.BusyCycles = stats.Counter{}, stats.Counter{}, stats.Counter{}, stats.Counter{}
 }
 
 // ID reports the SM's index within its socket.

@@ -84,6 +84,15 @@ func NewWeighted(sockets int, policy arch.MemPlacement, weights []int) *Memory {
 	return m
 }
 
+// Reset unmaps every first-touch page, forgets the last-page memo and
+// zeroes the migration count: the placement state New built. The page
+// table keeps its slots.
+func (m *Memory) Reset() {
+	m.pages.Clear()
+	m.lastPage, m.lastHome = 0, 0
+	m.Migrations = stats.Counter{}
+}
+
 // interleave maps interleave unit u (a 256B group, a page, ...) to its
 // socket under the weighted schedule.
 func (m *Memory) interleave(u uint64) arch.SocketID {

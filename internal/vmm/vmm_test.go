@@ -325,3 +325,20 @@ func TestWeightedPreplaceInterleave(t *testing.T) {
 		t.Fatalf("preplaced distribution %v, want [0.75 0.25]", dist)
 	}
 }
+
+// TestResetUnmapsEverything: after Reset the memory places pages as a
+// new one does, the page its last lookup resolved included.
+func TestResetUnmapsEverything(t *testing.T) {
+	m := New(4, arch.PlaceFirstTouch)
+	l := arch.LineID(5)
+	if m.Owner(l, 3) != 3 {
+		t.Fatal("first touch by socket 3 must place on socket 3")
+	}
+	m.Reset()
+	if m.MappedPages() != 0 || m.Migrations.Value() != 0 {
+		t.Fatalf("Reset left %d pages mapped and %d migrations", m.MappedPages(), m.Migrations.Value())
+	}
+	if got := m.Owner(l, 1); got != 1 || m.MappedPages() != 1 {
+		t.Fatalf("after Reset the first touch by socket 1 placed on %d (%d pages mapped)", got, m.MappedPages())
+	}
+}

@@ -238,6 +238,16 @@ func (f *Fabric) buildPaths() {
 	}
 }
 
+// Reset returns every link to its built state and empties the route
+// pool, keeping its storage, so records are handed out in the order of
+// a fresh fabric. No message may be in flight.
+func (f *Fabric) Reset() {
+	for _, l := range f.links {
+		l.Reset()
+	}
+	f.recs, f.freeRl = f.recs[:0], f.freeRl[:0]
+}
+
 // NumLinks reports the physical link count of the fabric.
 func (f *Fabric) NumLinks() int { return len(f.links) }
 

@@ -83,10 +83,22 @@ func NewLinkAsym(eng *sim.Engine, lanesAB, lanesBA int, laneBW float64, latAB, l
 	}
 	l.design[Egress] = lanesAB
 	l.design[Ingress] = lanesBA
-	l.lanes = l.design
 	l.srv[Egress] = sim.NewServer(eng, float64(lanesAB)*laneBW, latAB)
 	l.srv[Ingress] = sim.NewServer(eng, float64(lanesBA)*laneBW, latBA)
+	l.Reset()
 	return l
+}
+
+// Reset returns the link to the state NewLinkAsym built: both
+// directions idle at their design lanes and bandwidths, and every
+// meter and counter at zero.
+func (l *Link) Reset() {
+	l.ResetDesign()
+	l.srv[Egress].Reset()
+	l.srv[Ingress].Reset()
+	l.balBytes = [2]stats.Meter{}
+	l.Turns = stats.Counter{}
+	l.Sent = [2]stats.Counter{}
 }
 
 // Name reports the fabric-assigned label (e.g. "s0-x0"); empty for

@@ -3,10 +3,10 @@
 # emitting BENCH_sim.json: engine microbenchmarks (ns/event, allocs/event,
 # events/sec) for the calendar-queue scheduler and the reference heap it
 # replaced, model-level datapath benchmarks (ns and allocs per access
-# pattern, internal/gpu), the wall-clock time of regenerating every
-# experiment at -quick scale, and an append-only `history` array that
-# preserves the headline numbers across runs/PRs. See docs/PERF.md for
-# how to read the output.
+# pattern, internal/gpu), the wall-clock time and garbage-collection
+# cycles of regenerating every experiment at -quick scale, and an
+# append-only `history` array that preserves the headline numbers
+# across runs/PRs. See docs/PERF.md for how to read the output.
 #
 #   scripts/bench.sh            # full run: 1s benchtime + the -quick suite
 #   scripts/bench.sh --fast     # CI smoke: 100ms benchtime, no -quick suite
@@ -37,17 +37,27 @@ modelbench=$(go test -run '^$' -bench Model -benchmem -benchtime "$BENCHTIME" ./
 printf '%s\n' "$modelbench"
 
 quick_wall=null
+quick_gc_cycles=null
 fig3_obs_off_wall=null
 fig3_obs_on_wall=null
 obs_overhead_pct=null
 if [ "$RUN_QUICK" = 1 ]; then
-  echo "timing numagpu -quick all (full 15-experiment suite)..." >&2
+  # The garbage collector's trace counts its cycles: one "gc N @..."
+  # line on stderr per collection.
+  echo "timing numagpu -quick all (all 16 experiments) under GODEBUG=gctrace=1..." >&2
   bin=$(mktemp -t numagpu.XXXXXX)
   go build -o "$bin" ./cmd/numagpu
+  gclog=$(mktemp -t gctrace.XXXXXX)
   start=$(date +%s%N)
-  "$bin" -quick all > /dev/null
+  if ! GODEBUG=gctrace=1 "$bin" -quick all > /dev/null 2> "$gclog"; then
+    cat "$gclog" >&2
+    exit 1
+  fi
   end=$(date +%s%N)
   quick_wall=$(awk -v s="$start" -v e="$end" 'BEGIN { printf "%.1f", (e-s)/1e9 }')
+  quick_gc_cycles=$(grep -c '^gc ' "$gclog" || true)
+  rm -f "$gclog"
+  echo "numagpu -quick all: ${quick_wall}s, ${quick_gc_cycles} GC cycles" >&2
 
   # Observability sampling overhead: fig3 with the series probes on
   # (no -trace: tracing additionally writes a multi-MB trace.json per
@@ -163,6 +173,7 @@ fi
 
 current=$(printf '%s\n%s\n' "$engbench" "$modelbench" | awk \
   -v quick_wall="$quick_wall" \
+  -v quick_gc_cycles="$quick_gc_cycles" \
   -v fig3_obs_off_wall="$fig3_obs_off_wall" \
   -v fig3_obs_on_wall="$fig3_obs_on_wall" \
   -v obs_overhead_pct="$obs_overhead_pct" \
@@ -220,7 +231,8 @@ END {
   printf "    \"fig3_quick_wall_on_seconds\": %s,\n", fig3_obs_on_wall
   printf "    \"overhead_pct\": %s\n", obs_overhead_pct
   printf "  },\n"
-  printf "  \"quick_all_wall_seconds\": %s\n", quick_wall
+  printf "  \"quick_all_wall_seconds\": %s,\n", quick_wall
+  printf "  \"quick_gc_cycles\": %s\n", quick_gc_cycles
   printf "}\n"
 }')
 
@@ -245,6 +257,7 @@ if command -v jq >/dev/null 2>&1; then
         date: $cur.date,
         benchtime: $cur.benchtime,
         quick_all_wall_seconds: $cur.quick_all_wall_seconds,
+        quick_gc_cycles: $cur.quick_gc_cycles,
         engine_steady_ns_per_event: $cur.engine.steady_state.ns_per_event,
         engine_backlog_ns_per_event: $cur.engine.backlog.ns_per_event,
         obs_overhead_pct: $cur.obs.overhead_pct,
