@@ -311,19 +311,9 @@ func writeObs(dir, key, specName string, col *obs.Collector) error {
 // its canonical encoding, for debugging what a run will actually route
 // over.
 func dumpTopology(preset string, divisor int, topology *topo.Topology, stdout, stderr io.Writer) int {
-	r := exp.NewRunner(exp.Options{Divisor: divisor, Topology: topology})
-	var cfg arch.Config
-	switch preset {
-	case "base":
-		cfg = r.Base(4)
-	case "traditional":
-		cfg = r.Traditional(4)
-	case "numa-aware":
-		cfg = r.NUMAAware(4)
-	case "monolithic":
-		cfg = r.Monolithic(4)
-	default:
-		fmt.Fprintf(stderr, "unknown preset %q (want base, traditional, numa-aware or monolithic)\n", preset)
+	cfg, err := exp.NewRunner(exp.Options{Divisor: divisor, Topology: topology}).Preset(preset, 4)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	if cfg.Sockets < 2 {

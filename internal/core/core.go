@@ -14,6 +14,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/gpu"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/smcore"
 	"repro/internal/vmm"
@@ -52,12 +53,10 @@ type System struct {
 
 	balancers   []*xlink.Balancer
 	partitions  []*gpu.PartitionController
-	obsc        *obs.Collector // nil unless cfg.Obs requests observation
-	tr          *obsTrace      // nil unless cfg.Obs.Trace
-	rtx         []remoteTx     // remote round-trip pool (see remoteTx)
-	rtxFree     int32          // free-list head, -1 when empty
-	rtxUsed     int
-	readHomeEv  sim.Handler // remote protocol stages, bound once
+	obsc        *obs.Collector      // nil unless cfg.Obs requests observation
+	tr          *obsTrace           // nil unless cfg.Obs.Trace
+	rtx         pool.Pool[remoteTx] // remote round trips (see remoteTx)
+	readHomeEv  sim.Handler         // remote protocol stages, bound once
 	readRespEv  sim.Handler
 	writeHomeEv sim.Handler
 	bulkHomeEv  sim.Handler
@@ -89,7 +88,6 @@ func NewSystem(cfg arch.Config) (*System, error) {
 		cfg:      cfg,
 		mem:      vmm.NewWeighted(cfg.Sockets, cfg.Placement, socketWeights(cfg)),
 		drain:    &gpu.Drain{},
-		rtxFree:  -1,
 		ctaLists: make([][]smcore.CTA, cfg.Sockets),
 	}
 	s.eng = sim.New()
@@ -210,12 +208,12 @@ func (s *System) KernelLaunches() []sim.Time { return s.kernelMarks }
 
 // remoteTx is one in-flight remote round trip: a line read, a line
 // write or a bulk flush burst from socket src to home and back. Records
-// live in System.rtx on an index-linked free list, and every protocol
-// stage schedules the next through a bound handler carrying the record
-// index — the gpu datapath's pooling idiom, so a remote
-// access allocates nothing. A fabric delivery calls its stage directly,
-// without an event of its own, which keeps the protocol's event
-// schedule, and with it every result, fixed.
+// live in the System.rtx pool, and every protocol stage schedules the
+// next through a bound handler carrying the record index — the gpu
+// datapath's pooling idiom, so a remote access allocates nothing. A
+// fabric delivery calls its stage directly, without an event of its
+// own, which keeps the protocol's event schedule, and with it every
+// result, fixed.
 type remoteTx struct {
 	src, home arch.SocketID
 	line      arch.LineID
@@ -224,29 +222,12 @@ type remoteTx struct {
 	arg       int
 	t0        sim.Time // trace span start (Config.Obs.Trace only)
 	name      int32    // interned trace span name
-	next      int32    // free-list link
-}
-
-// getTx takes a pooled round-trip record for a transfer src → home.
-func (s *System) getTx(src, home arch.SocketID, done sim.Handler, arg int) int {
-	i := s.rtxFree
-	if i < 0 {
-		s.rtx = append(s.rtx, remoteTx{})
-		i = int32(len(s.rtx) - 1)
-	} else {
-		s.rtxFree = s.rtx[i].next
-	}
-	s.rtxUsed++
-	t := &s.rtx[i]
-	t.src, t.home, t.done, t.arg = src, home, done, arg
-	return int(i)
 }
 
 // RemoteRead implements gpu.Remote: request to home, home-side service,
 // data response back.
 func (s *System) RemoteRead(src, home arch.SocketID, l arch.LineID, done sim.Handler, arg int) {
-	i := s.getTx(src, home, done, arg)
-	s.rtx[i].line = l
+	i := s.rtx.Put(remoteTx{src: src, home: home, line: l, done: done, arg: arg})
 	if s.tr != nil {
 		s.traceXfer(s.tr.read, i)
 	}
@@ -255,19 +236,19 @@ func (s *System) RemoteRead(src, home arch.SocketID, l arch.LineID, done sim.Han
 
 // readHome serves a read request that has reached its home socket.
 func (s *System) readHome(_ sim.Time, i int) {
-	s.sockets[s.rtx[i].home].HomeRead(s.rtx[i].line, s.readRespEv, i)
+	t := s.rtx.At(i)
+	s.sockets[t.home].HomeRead(t.line, s.readRespEv, i)
 }
 
 // readResp ships the served line back to the requester.
 func (s *System) readResp(_ sim.Time, i int) {
-	t := &s.rtx[i]
+	t := s.rtx.At(i)
 	s.fabric.RouteArg(t.home, t.src, arch.LineSize+s.cfg.ResponseHeader, s.arriveEv, i)
 }
 
 // RemoteWrite implements gpu.Remote: full line to home, small ack back.
 func (s *System) RemoteWrite(src, home arch.SocketID, l arch.LineID, done sim.Handler, arg int) {
-	i := s.getTx(src, home, done, arg)
-	s.rtx[i].line = l
+	i := s.rtx.Put(remoteTx{src: src, home: home, line: l, done: done, arg: arg})
 	if s.tr != nil {
 		s.traceXfer(s.tr.write, i)
 	}
@@ -276,13 +257,13 @@ func (s *System) RemoteWrite(src, home arch.SocketID, l arch.LineID, done sim.Ha
 
 // writeHome applies a line write that has reached its home socket.
 func (s *System) writeHome(_ sim.Time, i int) {
-	s.sockets[s.rtx[i].home].HomeWrite(s.rtx[i].line, s.ackEv, i)
+	t := s.rtx.At(i)
+	s.sockets[t.home].HomeWrite(t.line, s.ackEv, i)
 }
 
 // RemoteWriteBulk implements gpu.Remote for aggregated flush bursts.
 func (s *System) RemoteWriteBulk(src, home arch.SocketID, n int, done sim.Handler, arg int) {
-	i := s.getTx(src, home, done, arg)
-	s.rtx[i].lines = n
+	i := s.rtx.Put(remoteTx{src: src, home: home, lines: n, done: done, arg: arg})
 	if s.tr != nil {
 		s.traceXfer(s.tr.bulk, i)
 	}
@@ -291,12 +272,13 @@ func (s *System) RemoteWriteBulk(src, home arch.SocketID, n int, done sim.Handle
 
 // bulkHome drains a flush burst that has reached its home socket.
 func (s *System) bulkHome(_ sim.Time, i int) {
-	s.sockets[s.rtx[i].home].HomeWriteBulk(s.rtx[i].lines, s.ackEv, i)
+	t := s.rtx.At(i)
+	s.sockets[t.home].HomeWriteBulk(t.lines, s.ackEv, i)
 }
 
 // ack returns a write or flush acknowledgement to the requester.
 func (s *System) ack(_ sim.Time, i int) {
-	t := &s.rtx[i]
+	t := s.rtx.At(i)
 	s.fabric.RouteArg(t.home, t.src, s.cfg.RequestHeader, s.arriveEv, i)
 }
 
@@ -304,13 +286,11 @@ func (s *System) ack(_ sim.Time, i int) {
 // closes, the record returns to the pool, and the requester's
 // continuation runs.
 func (s *System) arrive(now sim.Time, i int) {
-	t := s.rtx[i] // copied: released before the continuation runs
+	t := *s.rtx.At(i) // copied: released before the continuation runs
 	if s.tr != nil {
 		s.tr.t.Span(t.name, int32(t.src), int32(1+t.home), t.t0, now)
 	}
-	s.rtx[i] = remoteTx{next: s.rtxFree}
-	s.rtxFree = int32(i)
-	s.rtxUsed--
+	s.rtx.Free(i)
 	if t.done != 0 {
 		s.eng.Call(t.done, t.arg)
 	}
@@ -321,7 +301,7 @@ func (s *System) arrive(now sim.Time, i int) {
 // arrives back; tid 0 is the socket's kernel lane. Only called when
 // tracing is on — the off path costs a nil check per transfer.
 func (s *System) traceXfer(kind []int32, i int) {
-	t := &s.rtx[i]
+	t := s.rtx.At(i)
 	t.name = kind[int(t.src)*s.cfg.Sockets+int(t.home)]
 	t.t0 = s.eng.Now()
 }
@@ -358,7 +338,7 @@ func (s *System) Reset() error {
 	}
 	s.drain.Reset()
 	s.balancers, s.partitions = nil, nil
-	s.rtx, s.rtxFree, s.rtxUsed = s.rtx[:0], -1, 0
+	s.rtx.Reset()
 	clear(s.warpBuf) // drop the last program's streams
 	s.kernels, s.kernelIdx, s.socketsLeft, s.kernelStart = nil, 0, 0, 0
 	// New slices, not truncated ones: the last Result keeps its
@@ -411,8 +391,8 @@ func (s *System) verifyQuiesced() {
 				i, txs, reqs, waiters, homes))
 		}
 	}
-	if s.rtxUsed != 0 {
-		panic(fmt.Sprintf("core: %d remote round trips still in flight after the run", s.rtxUsed))
+	if n := s.rtx.Live(); n != 0 {
+		panic(fmt.Sprintf("core: %d remote round trips still in flight after the run", n))
 	}
 }
 

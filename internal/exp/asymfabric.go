@@ -57,7 +57,7 @@ func AsymPairsTopology(c arch.Config) *topo.Topology {
 // interleaving cannot (75% of its accesses cross sockets, half of
 // those over the bridge). Every other evaluated workload runs, keeping
 // the golden suite's runtime bounded while spanning all categories.
-func AsymFabric(r Harness) Result {
+func AsymFabric(r *Runner) Result {
 	all := r.evaluated()
 	var specs []workload.Spec
 	for i, s := range all {

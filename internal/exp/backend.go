@@ -50,17 +50,3 @@ var ErrBackendUnavailable = errors.New("exp: backend unavailable")
 // memoized: a later Run of the same key starts fresh instead of
 // replaying the stale cancellation.
 var ErrDeadlineExceeded = errors.New("exp: deadline exceeded")
-
-// NewRemoteRunner builds a Runner whose simulations execute through b,
-// typically a service.FabricClient pointed at a numagpud coordinator.
-// Everything else about the Runner is unchanged — the in-memory
-// singleflight memo, Options.Cache layering, RunAll's worker pool and
-// request-order guarantee — so a remote harness produces byte-identical
-// tables, summaries, and CSV to the local one, with the simulations
-// farmed out over HTTP. Options.Parallelism bounds in-flight remote
-// runs; point it at the cluster's total window (not the local CPU
-// count) to keep a multi-worker fabric busy.
-func NewRemoteRunner(opts Options, b Backend) *Runner {
-	opts.Backend = b
-	return NewRunner(opts)
-}

@@ -81,8 +81,8 @@ type Options struct {
 	// parallelism their order is completion order. Runs that panic
 	// (including deterministic backend failures) fire no callback.
 	// Per-caller attribution — "which of MY requests completed" —
-	// belongs to Session, not here. RunLog builds the per-run progress
-	// line callback the commands use.
+	// belongs to Runner.Session, not here. RunLog builds the per-run
+	// progress line callback the commands use.
 	OnResult func(key string, res core.Result, source RunSource)
 }
 
@@ -145,10 +145,22 @@ type Result struct {
 // call Run (or RunAll) simultaneously. Concurrent callers asking for
 // the same (config, workload) pair share a single simulation — the
 // first caller runs it, the rest block on its completion — so each
-// memo key is simulated exactly once per Runner lifetime.
+// memo key is simulated exactly once per Runner lifetime. The Runners
+// that Session derives share that memo (see Session).
 type Runner struct {
 	opts Options
+	*shared
 
+	// on is the per-caller callback Session gave this Runner (nil on
+	// one NewRunner built); it fires once per key seen.
+	on   func(key string, res core.Result, source RunSource)
+	onMu sync.Mutex // serializes on and guards seen
+	seen map[string]bool
+}
+
+// shared is the execution state of a Runner and every Session derived
+// from it.
+type shared struct {
 	mu   sync.Mutex // guards memo (the map itself, not entry results)
 	memo map[string]*memoEntry
 
@@ -175,7 +187,20 @@ type memoEntry struct {
 
 // NewRunner builds a harness with the given options.
 func NewRunner(opts Options) *Runner {
-	return &Runner{opts: opts.normalized(), memo: make(map[string]*memoEntry)}
+	return &Runner{opts: opts.normalized(), shared: &shared{memo: make(map[string]*memoEntry)}}
+}
+
+// Session derives a Runner for one caller: it shares r's memo, cache,
+// backend, options and counters, and reports every run the caller
+// requests through it to on — including runs that were already
+// memoized (SourceCached) or that another caller had in flight
+// (SourceCoalesced) — once per key, serialized, at the moment the
+// caller's request for it completes. So one numagpud job's event
+// stream covers exactly its own RunKeys, however many Sessions share
+// the Runner concurrently. on (may be nil) replaces any callback r
+// carries, and must not call back into the returned Runner.
+func (r *Runner) Session(on func(key string, res core.Result, source RunSource)) *Runner {
+	return &Runner{opts: r.opts, shared: r.shared, on: on, seen: make(map[string]bool)}
 }
 
 // Options reports the normalized options in use.
@@ -221,6 +246,23 @@ func (r *Runner) Monolithic(factor int) arch.Config {
 	return r.Base(1).Monolithic(factor)
 }
 
+// Preset resolves a configuration preset by name: "base" (or ""),
+// "traditional", "numa-aware" or "monolithic", the last a single GPU
+// sockets× larger.
+func (r *Runner) Preset(name string, sockets int) (arch.Config, error) {
+	switch name {
+	case "", "base":
+		return r.Base(sockets), nil
+	case "traditional":
+		return r.Traditional(sockets), nil
+	case "numa-aware":
+		return r.NUMAAware(sockets), nil
+	case "monolithic":
+		return r.Monolithic(sockets), nil
+	}
+	return arch.Config{}, fmt.Errorf("unknown preset %q (want base, traditional, numa-aware or monolithic)", name)
+}
+
 func cfgKey(c arch.Config) string {
 	return fmt.Sprintf("s%d.sm%d.l2%d.dram%g.lane%g/%d.sched%d.place%d.cache%d.link%d.wt%v.noinv%v.st%d.ct%d.lt%d",
 		c.Sockets, c.SMsPerSocket, c.L2Bytes, c.DRAMBandwidth, c.LaneBandwidth, c.LanesPerDir,
@@ -234,8 +276,25 @@ func cfgKey(c arch.Config) string {
 // (counted in Stats) and only simulates — then writes back — on a
 // cache miss, so warm results cost one Get instead of a simulation.
 func (r *Runner) Run(cfg arch.Config, spec workload.Spec) core.Result {
-	res, _ := r.runKeyed(r.RunKey(cfg, spec), cfg, spec, nil)
+	key := r.RunKey(cfg, spec)
+	res, src := r.runKeyed(key, cfg, spec, nil)
+	r.emit(key, res, src)
 	return res
+}
+
+// emit reports a completed request to the Session callback, once per
+// key.
+func (r *Runner) emit(key string, res core.Result, src RunSource) {
+	if r.on == nil {
+		return
+	}
+	r.onMu.Lock()
+	defer r.onMu.Unlock()
+	if r.seen[key] {
+		return
+	}
+	r.seen[key] = true
+	r.on(key, res, src)
 }
 
 // entry returns the singleflight slot for key, creating it on first
@@ -374,25 +433,47 @@ type RunRequest struct {
 
 // RunAll executes every requested simulation, at most
 // Options.Parallelism at a time, and returns the results in request
-// order: out[i] is the result of reqs[i]. Duplicate requests (and
-// requests whose key is already memoized) cost nothing extra — the
-// singleflight memo shares the one underlying simulation. The pool
-// takes the requests grouped by configuration (see byConfig), and each
-// worker resets the System of its last run for the next run of the
-// same configuration instead of building a new one. Because each
-// simulation is deterministic and a reset System runs exactly as a
-// fresh one, the returned slice is identical to what a sequential loop
-// over Run would produce; only completion order, and with it the order
-// of Options.OnResult calls, follows the grouping. If any simulation
-// panics, RunAll finishes draining the sweep and then re-raises one of
-// the recorded panic values (the first to complete, not necessarily
-// the first in request order) on the caller's goroutine.
+// order: out[i] is the result of reqs[i]. Each key runs once however
+// often the sweep repeats it (a repeat in flight alongside the first
+// request would otherwise race it to the Session callback and could
+// report the caller's own simulation as coalesced), and a key already
+// memoized costs nothing extra. The pool takes the requests grouped by
+// configuration (see byConfig), and each worker resets the System of
+// its last run for the next run of the same configuration instead of
+// building a new one. Because each simulation is deterministic and a
+// reset System runs exactly as a fresh one, the returned slice is
+// identical to what a sequential loop over Run would produce; only
+// completion order, and with it the order of Options.OnResult and
+// Session callbacks, follows the grouping. If any simulation panics,
+// RunAll finishes draining the sweep and then re-raises one of the
+// recorded panic values (the first to complete, not necessarily the
+// first in request order) on the caller's goroutine.
 func (r *Runner) RunAll(reqs []RunRequest) []core.Result {
-	order := byConfig(len(reqs), func(i int) arch.Config { return reqs[i].Cfg })
-	return runPool(r.opts.Parallelism, len(reqs), order, func(i int, w *sysSlot) core.Result {
-		res, _ := r.runKeyed(r.RunKey(reqs[i].Cfg, reqs[i].Spec), reqs[i].Cfg, reqs[i].Spec, w)
+	keys := make([]string, len(reqs))
+	slot := make(map[string]int, len(reqs)) // key → index into uniq
+	var uniq []int                          // request index of each key's first request
+	for i, q := range reqs {
+		keys[i] = r.RunKey(q.Cfg, q.Spec)
+		if _, ok := slot[keys[i]]; !ok {
+			slot[keys[i]] = len(uniq)
+			uniq = append(uniq, i)
+		}
+	}
+	order := byConfig(len(uniq), func(j int) arch.Config { return reqs[uniq[j]].Cfg })
+	res := runPool(r.opts.Parallelism, len(uniq), order, func(j int, w *sysSlot) core.Result {
+		i := uniq[j]
+		res, src := r.runKeyed(keys[i], reqs[i].Cfg, reqs[i].Spec, w)
+		r.emit(keys[i], res, src)
 		return res
 	})
+	if len(uniq) == len(reqs) {
+		return res // no key repeats, so res is already in request order
+	}
+	out := make([]core.Result, len(reqs))
+	for i := range reqs {
+		out[i] = res[slot[keys[i]]]
+	}
+	return out
 }
 
 // byConfig returns the order in which a sweep of n runs, run i under
@@ -472,8 +553,7 @@ func (w *sysSlot) keep(sys *core.System) {
 // (nil: index order), and each worker passes the tasks it runs one
 // sysSlot of its own. If any task panics, the pool finishes draining
 // and re-raises one recorded panic value (the first to complete, not
-// necessarily the first by index) on the caller's goroutine. Shared by
-// Runner.RunAll and Session.RunAll.
+// necessarily the first by index) on the caller's goroutine.
 func runPool(par, n int, order []int, run func(i int, slot *sysSlot) core.Result) []core.Result {
 	out := make([]core.Result, n)
 	task := func(j int) int {

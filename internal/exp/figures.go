@@ -18,7 +18,7 @@ const baselineSMs = 56
 // Figure2 reports the percentage of workloads whose time-weighted
 // average CTA count can fill GPUs 1–8× larger than today's (Figure 2).
 // It is a pure data computation over the Table 2 metadata.
-func Figure2(r Harness) Result {
+func Figure2(r *Runner) Result {
 	t := stats.NewTable("Figure 2: workloads able to fill future larger GPUs",
 		"GPU size", "SMs", "Workloads filling", "Percent")
 	sum := map[string]float64{}
@@ -43,7 +43,7 @@ func Figure2(r Harness) Result {
 // GPU and the hypothetical 4× larger GPU (Figure 3). Rows are sorted by
 // the locality-vs-theoretical gap, mirroring the paper's layout; the
 // grey set is annotated.
-func Figure3(r Harness) Result {
+func Figure3(r *Runner) Result {
 	specs := r.Options().Workloads
 	var reqs []RunRequest
 	for _, spec := range specs {
@@ -106,7 +106,7 @@ func Figure3(r Harness) Result {
 // Options.Obs asks for observation, the run's collector goes to
 // Options.ObsSink like any observed run's, with a trace if Options.Obs
 // asks for one.
-func Figure5(r Harness) Result {
+func Figure5(r *Runner) Result {
 	spec, ok := workload.ByName("HPC-HPGMG-UVM")
 	if !ok {
 		panic("exp: HPC-HPGMG-UVM missing from workload table")
@@ -199,7 +199,7 @@ func linkUtil(sys *core.System) [][2]*obs.Series {
 // Figure6 evaluates dynamic link adaptivity against sample time, with
 // the doubled-bandwidth upper bound in red (Figure 6). Baseline is the
 // locality-optimized 4-socket GPU with static symmetric links.
-func Figure6(r Harness) Result {
+func Figure6(r *Runner) Result {
 	sampleTimes := []int{1000, 5000, 20000}
 	specs := r.evaluated()
 	dblCfg := r.Base(4)
@@ -263,7 +263,7 @@ func Figure6(r Harness) Result {
 
 // SwitchTimeSensitivity reproduces the Section 4.1 sensitivity study:
 // lane turn cost of 10, 100 and 500 cycles at the 5K sample time.
-func SwitchTimeSensitivity(r Harness) Result {
+func SwitchTimeSensitivity(r *Runner) Result {
 	turns := []int{10, 100, 500}
 	specs := r.evaluated()
 	var reqs []RunRequest
@@ -307,7 +307,7 @@ func SwitchTimeSensitivity(r Harness) Result {
 // 4-socket locality baseline: memory-side local-only (baseline), static
 // 50/50 partitioning, shared coherent L1+L2, and NUMA-aware dynamic
 // partitioning (Figure 8).
-func Figure8(r Harness) Result {
+func Figure8(r *Runner) Result {
 	modes := []arch.CacheMode{arch.CacheStaticPartition, arch.CacheSharedCoherent, arch.CacheNUMAAware}
 	specs := r.evaluated()
 	var reqs []RunRequest
@@ -364,7 +364,7 @@ func Figure8(r Harness) Result {
 // Figure9 measures the cost of extending software coherence into the
 // L2: the NUMA-aware configuration against a hypothetical L2 that can
 // ignore invalidation events (Figure 9; paper average ≈10%).
-func Figure9(r Harness) Result {
+func Figure9(r *Runner) Result {
 	specs := r.evaluated()
 	var reqs []RunRequest
 	for _, spec := range specs {
@@ -396,7 +396,7 @@ func Figure9(r Harness) Result {
 // WritePolicy reproduces the Section 5.2 sensitivity: write-back versus
 // write-through coherent L2 (paper: WB wins by ≈9% from reduced
 // inter-GPU write bandwidth).
-func WritePolicy(r Harness) Result {
+func WritePolicy(r *Runner) Result {
 	specs := r.evaluated()
 	var reqs []RunRequest
 	for _, spec := range specs {
@@ -427,7 +427,7 @@ func WritePolicy(r Harness) Result {
 
 // Figure10 shows the combined effect of both mechanisms versus each in
 // isolation, against the single GPU and the 4× larger GPU (Figure 10).
-func Figure10(r Harness) Result {
+func Figure10(r *Runner) Result {
 	specs := r.evaluated()
 	linkOnly := r.Base(4)
 	linkOnly.LinkMode = arch.LinkDynamic
@@ -478,7 +478,7 @@ func Figure10(r Harness) Result {
 // at 2, 4 and 8 sockets against hypothetical 2×, 4× and 8× larger
 // single GPUs, over all 41 workloads (Figure 11; paper: 1.5×/2.3×/3.2×
 // at 89%/84%/76% efficiency).
-func Figure11(r Harness) Result {
+func Figure11(r *Runner) Result {
 	sockets := []int{2, 4, 8}
 	specs := r.Options().Workloads
 	var reqs []RunRequest
@@ -535,7 +535,7 @@ func Figure11(r Harness) Result {
 // at 10pJ/b for the software baseline versus the full NUMA-aware GPU,
 // reported at paper-scale link widths (utilization-preserving scaling
 // by the architecture divisor).
-func Power(r Harness) Result {
+func Power(r *Runner) Result {
 	specs := r.Options().Workloads
 	var reqs []RunRequest
 	for _, spec := range specs {
@@ -592,7 +592,7 @@ func maxSlice(vs []float64) float64 {
 // by its Section 4 discussion): the same total link bandwidth built
 // from 4 coarser lanes instead of 8, halving the balancer's
 // reconfiguration resolution.
-func LaneGranularity(r Harness) Result {
+func LaneGranularity(r *Runner) Result {
 	specs := r.evaluated()
 	fine8 := r.Base(4)
 	fine8.LinkMode = arch.LinkDynamic
@@ -634,7 +634,7 @@ func LaneGranularity(r Harness) Result {
 // 4-socket NUMA-aware GPU against a single dedicated socket (a 1/4
 // partition), reporting how much of the big machine's performance one
 // quarter of it already delivers.
-func MultiTenancy(r Harness) Result {
+func MultiTenancy(r *Runner) Result {
 	var specs []workload.Spec
 	for _, spec := range r.Options().Workloads {
 		// "Small": the paper's own Figure 2 threshold — grids that

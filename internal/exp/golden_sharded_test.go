@@ -80,7 +80,9 @@ func TestGoldenMastersSharded(t *testing.T) {
 		t.Skip("sharded golden masters simulate the full -quick suite; skipped in -short mode")
 	}
 	b := newShardBackend(4, QuickOptions())
-	runner := NewRemoteRunner(QuickOptions(), b)
+	opts := QuickOptions()
+	opts.Backend = b
+	runner := NewRunner(opts)
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {

@@ -101,7 +101,9 @@ func TestObsOnByteIdentical(t *testing.T) {
 	sampled.Store(0)
 	traced.Store(0)
 	b := newShardBackend(2, o)
-	sharded := NewRemoteRunner(QuickOptions(), b)
+	so := QuickOptions()
+	so.Backend = b
+	sharded := NewRunner(so)
 	for _, name := range []string{"fig3", "fig5"} {
 		e, ok := ExperimentByName(name)
 		if !ok {

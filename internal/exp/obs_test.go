@@ -39,7 +39,8 @@ func TestObsForcesLocalSimulation(t *testing.T) {
 	o.ObsSink = func(key string, spec workload.Spec, col *obs.Collector) {
 		sunk = append(sunk, col)
 	}
-	r := NewRemoteRunner(o, b)
+	o.Backend = b
+	r := NewRunner(o)
 	spec := r.opts.Workloads[0]
 	res := r.Run(r.Base(2), spec)
 

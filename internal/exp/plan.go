@@ -5,7 +5,7 @@ import "repro/internal/workload"
 // RunSource says how one completed run was obtained, from the
 // perspective of the caller that asked for it. It rides the typed
 // event stream of the numagpud service (run_done events) and the
-// Options.OnResult / Session callbacks.
+// Options.OnResult and Runner.Session callbacks.
 type RunSource string
 
 const (
@@ -59,8 +59,8 @@ const (
 // promoted into the memo here (completing their entries and firing
 // Options.OnResult), and the partition is counted into Stats: unique
 // Cached keys as DeltaHits, unique Inflight keys as CoalescedKeys.
-// Plan does not execute anything — follow with RunAll (or
-// Session.RunAll) over the same reqs.
+// Plan does not execute anything — follow with RunAll (of this Runner
+// or one of its Sessions) over the same reqs.
 //
 // With Options.Obs enabled every key classifies as Todo and the cache
 // is not consulted: an observed run must actually simulate.

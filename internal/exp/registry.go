@@ -10,10 +10,10 @@ import "repro/internal/stats"
 type Experiment struct {
 	Name string
 	Desc string
-	// Run takes a Harness so callers choose the attribution scope:
-	// cmd/numagpu passes the *Runner directly, the numagpud service
-	// passes a per-job Session (see exp.Session).
-	Run func(Harness) Result
+	// Run takes the Runner whose attribution scope the caller wants:
+	// cmd/numagpu passes its Runner, the numagpud service a per-job
+	// Session of its shared one (see Runner.Session).
+	Run func(*Runner) Result
 }
 
 var registry = []Experiment{

@@ -9,7 +9,7 @@ import (
 // Table1 renders the simulation parameters (paper Table 1) from the
 // configuration actually used by this harness, alongside the paper-
 // scale values.
-func Table1(r Harness) Result {
+func Table1(r *Runner) Result {
 	paper := r.Base(4)
 	// Undo the divisor to show the paper machine next to the harness
 	// machine.
@@ -40,7 +40,7 @@ func Table1(r Harness) Result {
 // Table2 renders the workload inventory with the paper's time-weighted
 // CTA counts and memory footprints (paper Table 2), plus the synthetic
 // generator's simulation-scale grid.
-func Table2(r Harness) Result {
+func Table2(r *Runner) Result {
 	t := stats.NewTable("Table 2: workloads (paper metadata + simulation-scale grids)",
 		"Workload", "Paper CTAs", "Paper MB", "Sim CTAs", "Warps/CTA", "Grey")
 	var totalCTAs float64

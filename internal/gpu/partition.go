@@ -57,9 +57,6 @@ func (p *PartitionController) Stop() {
 	}
 }
 
-// DebugTrace, when set, receives every sampling decision's inputs.
-var DebugTrace func(sock int, now sim.Time, inUtil, dramUtil float64)
-
 // Step runs one sampling decision at time now. Exposed for tests.
 func (p *PartitionController) Step(now sim.Time) {
 	p.Decisions.Inc()
@@ -86,9 +83,6 @@ func (p *PartitionController) Step(now sim.Time) {
 		inUtil = resp
 	}
 	dramUtil := s.dram.Utilization(now)
-	if DebugTrace != nil {
-		DebugTrace(int(s.id), now, inUtil, dramUtil)
-	}
 	satIn := inUtil >= xlink.SaturationThreshold
 	satDRAM := dramUtil >= xlink.SaturationThreshold
 

@@ -4,6 +4,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/smcore"
 	"repro/internal/stats"
@@ -65,10 +66,10 @@ type Socket struct {
 	rmPending mshrTable   // remote lines fetching over the link
 
 	// Datapath record pools.
-	txs   txPool
-	reqs  reqPool
-	chain waiterPool
-	homes homePool
+	txs   pool.Pool[memTx]
+	reqs  pool.Pool[lineReq]
+	chain pool.Pool[waiterNode]
+	homes pool.Pool[homeReq]
 
 	// Stage continuations, bound on the engine at construction; every
 	// event on the datapath reuses them with a pool index as argument.
@@ -139,16 +140,11 @@ func NewSocket(eng *sim.Engine, cfg arch.Config, id arch.SocketID, memMap *vmm.M
 	}
 	s.onLoadDone = s.dispatchLoadDone
 
-	warps := cfg.SMsPerSocket * cfg.MaxWarpsPerSM
-	s.txs.init(warps)
-	s.reqs.init(warps)
-	s.chain.init(warps)
-	s.homes.init(64)
 	s.l2Pending.Init(256)
 	s.rmPending.Init(256)
 	s.flushPerHome = make([]int, cfg.Sockets)
 
-	s.txLineDoneEv = eng.Bind(s.txLineDoneArg)
+	s.txLineDoneEv = eng.Bind(s.txLineDone)
 	s.l2ReqEv = eng.Bind(s.l2Req)
 	s.l2RespEv = eng.Bind(s.l2Resp)
 	s.l1FillEv = eng.Bind(s.l1Fill)
@@ -188,10 +184,10 @@ func (s *Socket) Reset() {
 	}
 	s.l2Pending.Clear()
 	s.rmPending.Clear()
-	s.txs.reset()
-	s.reqs.reset()
-	s.chain.reset()
-	s.homes.reset()
+	s.txs.Reset()
+	s.reqs.Reset()
+	s.chain.Reset()
+	s.homes.Reset()
 	s.queue, s.queueHead, s.ctasLeft = nil, 0, 0
 	s.dispatched = stats.Counter{}
 	s.remoteReqs, s.remoteResp = stats.Meter{}, stats.Meter{}
@@ -289,17 +285,17 @@ func (s *Socket) dispatchLoadDone(sm, slot int) { s.SMs[sm].LoadDone(slot) }
 func (s *Socket) Load(sm int, lines []arch.LineID, slot int) {
 	if len(lines) == 0 {
 		// No lines: complete after the 1-cycle issue turnaround.
-		tx := s.txs.alloc(int32(sm), int32(slot), 1)
-		s.eng.ScheduleArg(1, s.txLineDoneEv, int(tx))
+		tx := s.txs.Put(memTx{sm: int32(sm), slot: int32(slot), left: 1})
+		s.eng.ScheduleArg(1, s.txLineDoneEv, tx)
 		return
 	}
-	tx := s.txs.alloc(int32(sm), int32(slot), int32(len(lines)))
+	tx := s.txs.Put(memTx{sm: int32(sm), slot: int32(slot), left: int32(len(lines))})
 	for _, l := range lines {
 		s.loadLine(sm, l, tx)
 	}
 }
 
-func (s *Socket) loadLine(sm int, l arch.LineID, tx int32) {
+func (s *Socket) loadLine(sm int, l arch.LineID, tx int) {
 	cl, home := s.classOf(l)
 	if cl == mem.ClassLocal {
 		s.LoadsLocal.Inc()
@@ -308,39 +304,37 @@ func (s *Socket) loadLine(sm int, l arch.LineID, tx int32) {
 	}
 	l1 := s.l1s[sm]
 	if l1.Lookup(l, cl) {
-		s.eng.ScheduleArg(sim.Time(s.cfg.L1Latency), s.txLineDoneEv, int(tx))
+		s.eng.ScheduleArg(sim.Time(s.cfg.L1Latency), s.txLineDoneEv, tx)
 		return
 	}
 	// L1 miss: merge with an outstanding miss to the same line.
-	if s.l1Pending[sm].merge(l, tx, &s.chain) {
+	if s.l1Pending[sm].merge(l, int32(tx), &s.chain) {
 		return
 	}
-	req := s.reqs.alloc(l, home, cl, int32(sm), tx)
+	req := s.reqs.Put(lineReq{line: l, home: home, cl: cl, sm: int32(sm), tx: int32(tx)})
 	// Request crosses the NoC to the L2 complex.
-	s.xbar.SendArg(s.cfg.RequestHeader, s.l2ReqEv, int(req))
+	s.xbar.SendArg(s.cfg.RequestHeader, s.l2ReqEv, req)
 }
 
-// txLineDoneArg retires one line of a warp-load transaction; when it
-// was the last, the SM is notified and the transaction freed.
-func (s *Socket) txLineDoneArg(_ sim.Time, tx int) { s.txLineDone(int32(tx)) }
-
-func (s *Socket) txLineDone(tx int32) {
-	t := &s.txs.txs[tx]
+// txLineDone retires one line of warp-load transaction tx; when it was
+// the last, the SM is notified and the transaction freed.
+func (s *Socket) txLineDone(_ sim.Time, tx int) {
+	t := s.txs.At(tx)
 	t.left--
 	if t.left > 0 {
 		return
 	}
 	sm, slot := int(t.sm), int(t.slot)
-	s.txs.release(tx)
+	s.txs.Free(tx)
 	s.onLoadDone(sm, slot)
 }
 
 // l2Req services a read request arriving at the L2 complex.
 func (s *Socket) l2Req(_ sim.Time, req int) {
-	if s.reqs.reqs[req].cl == mem.ClassLocal {
-		s.localL2Read(int32(req))
+	if s.reqs.At(req).cl == mem.ClassLocal {
+		s.localL2Read(req)
 	} else {
-		s.remoteRead(int32(req))
+		s.remoteRead(req)
 	}
 }
 
@@ -353,22 +347,22 @@ func (s *Socket) l2Resp(_ sim.Time, req int) {
 // l1Fill installs the returned line in the issuing SM's L1 and pays the
 // L1 fill latency before completion.
 func (s *Socket) l1Fill(_ sim.Time, req int) {
-	r := &s.reqs.reqs[req]
+	r := s.reqs.At(req)
 	s.fillL1(int(r.sm), r.line, r.cl)
 	s.eng.ScheduleArg(sim.Time(s.cfg.L1Latency), s.l1DoneEv, req)
 }
 
 // l1Done completes the primary transaction and every load that merged
 // on the line at the L1 level, in merge order.
-func (s *Socket) l1Done(_ sim.Time, req int) {
-	r := s.reqs.reqs[req] // copied: released before the callbacks run
+func (s *Socket) l1Done(now sim.Time, req int) {
+	r := *s.reqs.At(req) // copied: released before the callbacks run
 	head := s.l1Pending[r.sm].complete(r.line)
-	s.reqs.release(int32(req))
-	s.txLineDone(r.tx)
+	s.reqs.Free(req)
+	s.txLineDone(now, int(r.tx))
 	for n := head; n != nilIdx; {
-		node := s.chain.nodes[n]
-		s.chain.release(n)
-		s.txLineDone(node.val)
+		node := *s.chain.At(int(n))
+		s.chain.Free(int(n))
+		s.txLineDone(now, int(node.val))
 		n = node.next
 	}
 }
@@ -381,28 +375,28 @@ func (s *Socket) fillL1(sm int, l arch.LineID, cl mem.Class) {
 
 // localL2Read services a local-address read at the L2: hit → respond;
 // miss → DRAM fetch with MSHR merging, fill L2, respond.
-func (s *Socket) localL2Read(req int32) {
-	r := &s.reqs.reqs[req]
+func (s *Socket) localL2Read(req int) {
+	r := s.reqs.At(req)
 	if s.l2.Lookup(r.line, mem.ClassLocal) {
-		s.eng.ScheduleArg(sim.Time(s.cfg.L2Latency), s.l2RespEv, int(req))
+		s.eng.ScheduleArg(sim.Time(s.cfg.L2Latency), s.l2RespEv, req)
 		return
 	}
-	if s.l2Pending.merge(r.line, req, &s.chain) {
+	if s.l2Pending.merge(r.line, int32(req), &s.chain) {
 		return
 	}
-	s.dram.ReadArg(arch.LineSize, s.dramRespEv, int(req))
+	s.dram.ReadArg(arch.LineSize, s.dramRespEv, req)
 }
 
 // dramResp fills the fetched line into the L2 and responds to the
 // primary requester and every SM-level request that merged on it.
 func (s *Socket) dramResp(_ sim.Time, req int) {
-	r := &s.reqs.reqs[req]
+	r := s.reqs.At(req)
 	s.insertL2(r.line, mem.ClassLocal, false)
 	head := s.l2Pending.complete(r.line)
 	s.eng.ScheduleArg(sim.Time(s.cfg.L2Latency), s.l2RespEv, req)
 	for n := head; n != nilIdx; {
-		node := s.chain.nodes[n]
-		s.chain.release(n)
+		node := *s.chain.At(int(n))
+		s.chain.Free(int(n))
 		s.eng.ScheduleArg(sim.Time(s.cfg.L2Latency), s.l2RespEv, int(node.val))
 		n = node.next
 	}
@@ -411,24 +405,24 @@ func (s *Socket) dramResp(_ sim.Time, req int) {
 // remoteRead services a remote-address read: in modes that cache remote
 // data the local L2 is consulted first and fills on return; in the
 // memory-side mode every request crosses the link.
-func (s *Socket) remoteRead(req int32) {
-	r := &s.reqs.reqs[req]
+func (s *Socket) remoteRead(req int) {
+	r := s.reqs.At(req)
 	if s.cachesRemoteInL2() {
 		if s.l2.Lookup(r.line, mem.ClassRemote) {
-			s.eng.ScheduleArg(sim.Time(s.cfg.L2Latency), s.l2RespEv, int(req))
+			s.eng.ScheduleArg(sim.Time(s.cfg.L2Latency), s.l2RespEv, req)
 			return
 		}
-		if s.rmPending.merge(r.line, req, &s.chain) {
+		if s.rmPending.merge(r.line, int32(req), &s.chain) {
 			return
 		}
 		s.countRemoteRead()
-		s.remote.RemoteRead(s.id, r.home, r.line, s.remoteFillEv, int(req))
+		s.remote.RemoteRead(s.id, r.home, r.line, s.remoteFillEv, req)
 		return
 	}
 	// Mode (a): bypass the local L2, no merging structure exists at the
 	// link endpoint, every L1 miss pays the full remote round trip.
 	s.countRemoteRead()
-	s.remote.RemoteRead(s.id, r.home, r.line, s.remoteRespEv, int(req))
+	s.remote.RemoteRead(s.id, r.home, r.line, s.remoteRespEv, req)
 }
 
 // remoteResponse ships a remote data response straight to the issuing
@@ -446,14 +440,14 @@ func (s *Socket) remoteResponse(_ sim.Time, req int) {
 // way. (Merged waiters used to skip the charge, a timing asymmetry
 // inherited from the closure-based datapath.)
 func (s *Socket) remoteFill(_ sim.Time, req int) {
-	r := &s.reqs.reqs[req]
+	r := s.reqs.At(req)
 	s.countRemoteResponse()
 	s.insertL2(r.line, mem.ClassRemote, false)
 	head := s.rmPending.complete(r.line)
 	s.eng.ScheduleArg(sim.Time(s.cfg.L2Latency), s.l2RespEv, req)
 	for n := head; n != nilIdx; {
-		node := s.chain.nodes[n]
-		s.chain.release(n)
+		node := *s.chain.At(int(n))
+		s.chain.Free(int(n))
 		s.eng.ScheduleArg(sim.Time(s.cfg.L2Latency), s.l2RespEv, int(node.val))
 		n = node.next
 	}
@@ -518,14 +512,14 @@ func (s *Socket) storeLine(sm int, l arch.LineID) {
 		l1.Fill(l, cl, false)
 	}
 	s.drain.Inc()
-	st := s.reqs.alloc(l, home, cl, int32(sm), nilIdx)
-	s.xbar.SendArg(arch.LineSize+s.cfg.RequestHeader, s.storeEv, int(st))
+	st := s.reqs.Put(lineReq{line: l, home: home, cl: cl, sm: int32(sm), tx: nilIdx})
+	s.xbar.SendArg(arch.LineSize+s.cfg.RequestHeader, s.storeEv, st)
 }
 
 // storeArrive retires a store at the L2 complex.
 func (s *Socket) storeArrive(_ sim.Time, st int) {
-	r := s.reqs.reqs[st] // copied: released before downstream calls
-	s.reqs.release(int32(st))
+	r := *s.reqs.At(st) // copied: released before downstream calls
+	s.reqs.Free(st)
 	if r.cl == mem.ClassLocal {
 		// Write-allocate into the write-back L2 (coalesced warp
 		// stores cover full lines, so no fetch-on-write).
@@ -567,14 +561,14 @@ func (s *Socket) HomeRead(l arch.LineID, done sim.Handler, arg int) {
 		s.dram.ReadArg(arch.LineSize, done, arg)
 		return
 	}
-	h := s.homes.alloc(l, done, arg)
-	s.dram.ReadArg(arch.LineSize, s.homeReadEv, int(h))
+	h := s.homes.Put(homeReq{line: l, done: done, arg: arg})
+	s.dram.ReadArg(arch.LineSize, s.homeReadEv, h)
 }
 
 // homeReadDone caches a fetched line in the memory-side L2 and responds.
 func (s *Socket) homeReadDone(now sim.Time, idx int) {
-	h := s.homes.reqs[idx] // copied: released before the callback runs
-	s.homes.release(int32(idx))
+	h := *s.homes.At(idx) // copied: released before the callback runs
+	s.homes.Free(idx)
 	s.insertL2(h.line, mem.ClassLocal, false)
 	s.eng.Call(h.done, h.arg)
 }
@@ -757,7 +751,7 @@ func (s *Socket) DebugPending() (l1, l2, rm int) {
 // All four must be zero on a quiescent socket; anything else is a
 // leaked continuation (core.System.Run panics on it after every run).
 func (s *Socket) DebugPoolsInUse() (txs, reqs, waiters, homes int) {
-	return s.txs.used, s.reqs.used, s.chain.used, s.homes.used
+	return s.txs.Live(), s.reqs.Live(), s.chain.Live(), s.homes.Live()
 }
 
 // DebugCTAs reports queued-but-undispatched and resident CTA counts.

@@ -805,7 +805,7 @@ func TestFabricClientFailsFastOnHTTPError(t *testing.T) {
 
 // TestFabricRemoteRunEndpoint drives the coordinator's remote-run
 // surface the way numagpu -remote does — via a FabricClient behind
-// exp.NewRemoteRunner — against a worker-less coordinator (local
+// exp.Options.Backend — against a worker-less coordinator (local
 // fallback), and checks key-skew rejection.
 func TestFabricRemoteRunEndpoint(t *testing.T) {
 	if testing.Short() {
@@ -814,7 +814,9 @@ func TestFabricRemoteRunEndpoint(t *testing.T) {
 	srv, ts, _ := clusterServer(t, t.TempDir())
 
 	local := exp.NewRunner(fabricOpts())
-	remote := exp.NewRemoteRunner(fabricOpts(), NewFabricClient(ts.URL))
+	opts := fabricOpts()
+	opts.Backend = NewFabricClient(ts.URL)
+	remote := exp.NewRunner(opts)
 	spec := fabricOpts().Workloads[0]
 	want := local.Run(local.Base(2), spec)
 	got := remote.Run(remote.Base(2), spec)
@@ -830,7 +832,8 @@ func TestFabricRemoteRunEndpoint(t *testing.T) {
 
 	// Submitting again from a fresh client is a coordinator-side memo
 	// hit: no second simulation.
-	remote2 := exp.NewRemoteRunner(fabricOpts(), NewFabricClient(ts.URL))
+	opts.Backend = NewFabricClient(ts.URL)
+	remote2 := exp.NewRunner(opts)
 	got2 := remote2.Run(remote2.Base(2), spec)
 	if got2.Cycles != want.Cycles {
 		t.Fatal("second remote run differs")
@@ -880,7 +883,8 @@ func TestCacheStatusCountsEveryRunner(t *testing.T) {
 	before := read()
 	opts := fabricOpts()
 	opts.IterScale /= 2
-	remote := exp.NewRemoteRunner(opts, NewFabricClient(ts.URL))
+	opts.Backend = NewFabricClient(ts.URL)
+	remote := exp.NewRunner(opts)
 	remote.Run(remote.Base(2), opts.Workloads[0])
 	after := read()
 	if sims, misses := after.Simulations-before.Simulations, after.Misses-before.Misses; sims != 1 || misses != 1 {

@@ -16,7 +16,7 @@ import (
 // FabricClient implements exp.Backend over HTTP against a numagpud
 // coordinator: each Execute submits one run (POST /v1/fabric/runs,
 // idempotent by the run's content address) and polls it to completion.
-// Plugged into exp.NewRemoteRunner — or `numagpu -remote URL` — it
+// Set as exp.Options.Backend — as `numagpu -remote URL` does — it
 // drives any experiment through the coordinator's memo, disk cache,
 // and worker fleet while the client keeps full responsibility for
 // request order and table rendering, so the output is byte-identical

@@ -766,10 +766,10 @@ func (s *Server) execute(j *job) (payload []byte, err error) {
 	return nil, fmt.Errorf("unknown job kind %q", j.kind)
 }
 
-// runCallback builds the exp.Session callback attributing one job's run
-// completions: it advances the job's progress counters and appends a
-// run_done event referencing the run's content address. total is 0 when
-// unknown (experiments).
+// runCallback builds the Runner.Session callback attributing one job's
+// run completions: it advances the job's progress counters and appends
+// a run_done event referencing the run's content address. total is 0
+// when unknown (experiments).
 func (s *Server) runCallback(j *job, total int) func(string, core.Result, exp.RunSource) {
 	return func(key string, res core.Result, src exp.RunSource) {
 		s.mu.Lock()
@@ -898,18 +898,9 @@ func (s *Server) sweepPlan(req *SweepRequest) (arch.Config, []workload.Spec, err
 	if sockets == 0 {
 		sockets = 4
 	}
-	var cfg arch.Config
-	switch req.Preset {
-	case "", "base":
-		cfg = s.runner.Base(sockets)
-	case "traditional":
-		cfg = s.runner.Traditional(sockets)
-	case "numa-aware":
-		cfg = s.runner.NUMAAware(sockets)
-	case "monolithic":
-		cfg = s.runner.Monolithic(sockets)
-	default:
-		return arch.Config{}, nil, fmt.Errorf("unknown preset %q (want base, traditional, numa-aware or monolithic)", req.Preset)
+	cfg, err := s.runner.Preset(req.Preset, sockets)
+	if err != nil {
+		return arch.Config{}, nil, err
 	}
 	if req.CacheMode != "" {
 		m, ok := cacheModes[req.CacheMode]

@@ -154,6 +154,29 @@ var backlogDelays = func() [64]Time {
 	return d
 }()
 
+// BenchmarkEngineSchedule measures the side-table path: one closure
+// rescheduling itself through Schedule every cycle, as a Ticker does.
+// The side table is warmed first, so a warm engine's closures must
+// cost no allocation either.
+func BenchmarkEngineSchedule(b *testing.B) {
+	e := New()
+	warmup(e)
+	e.Schedule(1, func(Time) {})
+	e.Run()
+	n := 0
+	var tick Event
+	tick = func(Time) {
+		n++
+		if n < b.N {
+			e.Schedule(1, tick)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Schedule(1, tick)
+	e.Run()
+}
+
 // BenchmarkEngineBacklog measures a standing backlog of far events:
 // 256 in flight, each rescheduling itself with the next delay of the
 // measured 1K–64K-cycle mix. With a 1,024-cycle ring every one of these

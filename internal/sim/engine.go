@@ -16,11 +16,15 @@
 // scheduling invariant on Engine). Nothing the queue touches holds a
 // pointer, so queueing and running an event costs the garbage
 // collector nothing. Plain Event closures, used off the hot path, wait
-// in a small side table and reach the queue through one reserved
-// handler.
+// in a small side table, an internal/pool pool, and reach the queue
+// through one reserved handler.
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/pool"
+)
 
 // Time is a point in virtual time, measured in clock cycles.
 // The system clock is 1GHz, so one cycle is one nanosecond and a
@@ -81,13 +85,6 @@ type farEntry struct {
 	i   int32 // slab index of the event's record
 }
 
-// callback is one side-table entry: a queued Event closure, or, once
-// run, a link in the table's free list.
-type callback struct {
-	fn   Event
-	next int32
-}
-
 // cycleList is the FIFO of one ring cycle: the slab indices of its
 // first and last queued events, both 0 when the cycle is empty.
 type cycleList struct {
@@ -116,17 +113,16 @@ type cycleList struct {
 type Engine struct {
 	// The pointer-bearing fields come first, so the garbage collector
 	// never scans the integer-only ring below them.
-	slab     []record   // every queued event; executed records join the free list
-	far      []farEntry // min-heap of the events beyond the ring
-	handlers []ArgEvent // bound callbacks: [0] is nil, [sideHandler] runs side
-	side     []callback // queued Event closures; side[0] is the nil link
+	slab     []record         // every queued event; executed records join the free list
+	far      []farEntry       // min-heap of the events beyond the ring
+	handlers []ArgEvent       // bound callbacks: [0] is nil, [sideHandler] runs side
+	side     pool.Pool[Event] // queued Event closures
 
-	now      Time
-	seq      uint64 // far inserts so far
-	nRun     uint64
-	ringN    int   // events currently linked into the ring
-	free     int32 // head of the free-record list
-	sideFree int32 // head of the side table's free list
+	now   Time
+	seq   uint64 // far inserts so far
+	nRun  uint64
+	ringN int   // events currently linked into the ring
+	free  int32 // head of the free-record list
 
 	// occ has bit c set exactly when ring cycle c has an event; sum has
 	// bit w set exactly when occ[w] is non-zero.
@@ -250,30 +246,14 @@ func (e *Engine) queueSide(at Time, fn Event) {
 	if e.handlers == nil {
 		e.handlers = []ArgEvent{nil, e.runSide}
 	}
-	i := e.sideFree
-	if i != 0 {
-		e.sideFree = e.side[i].next
-	} else {
-		if len(e.side) == 0 {
-			if cap(e.side) == 0 {
-				e.side = make([]callback, 0, 16)
-			}
-			e.side = append(e.side, callback{}) // side[0] is the nil link
-		}
-		e.side = append(e.side, callback{})
-		i = int32(len(e.side) - 1)
-	}
-	e.side[i].fn = fn
-	e.insert(at, sideHandler, int(i))
+	e.insert(at, sideHandler, e.side.Put(fn))
 }
 
 // runSide is the side handler: it frees side-table entry i, then runs
 // the Event it held.
 func (e *Engine) runSide(now Time, i int) {
-	c := &e.side[i]
-	fn := c.fn
-	*c = callback{next: e.sideFree}
-	e.sideFree = int32(i)
+	fn := *e.side.At(i)
+	e.side.Free(i)
 	fn(now)
 }
 
@@ -418,9 +398,9 @@ func (e *Engine) Reset() {
 		e.sum = [sumWords]uint64{}
 		e.ring = [ringSize]cycleList{}
 	}
-	clear(e.side)
-	e.slab, e.far, e.side = e.slab[:0], e.far[:0], e.side[:0]
-	e.now, e.seq, e.nRun, e.ringN, e.free, e.sideFree = 0, 0, 0, 0, 0, 0
+	e.side.Reset()
+	e.slab, e.far = e.slab[:0], e.far[:0]
+	e.now, e.seq, e.nRun, e.ringN, e.free = 0, 0, 0, 0, 0
 }
 
 // The far heap: a binary min-heap of (time, seq, slab index) entries.

@@ -2,6 +2,7 @@ package xlink
 
 import (
 	"repro/internal/arch"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -28,10 +29,9 @@ type Fabric struct {
 	// Pooled route walker: in-flight messages live in recs, indexed by
 	// the arg threaded through the two bound handlers, so the
 	// steady-state datapath allocates nothing per message.
-	recs   []routeRec
-	freeRl []int
-	hopH   sim.Handler
-	stepH  sim.Handler
+	recs  pool.Pool[routeRec]
+	hopH  sim.Handler
+	stepH sim.Handler
 }
 
 // pathHop is one precomputed traversal: a physical link, the direction
@@ -245,7 +245,7 @@ func (f *Fabric) Reset() {
 	for _, l := range f.links {
 		l.Reset()
 	}
-	f.recs, f.freeRl = f.recs[:0], f.freeRl[:0]
+	f.recs.Reset()
 }
 
 // NumLinks reports the physical link count of the fabric.
@@ -275,26 +275,10 @@ func (f *Fabric) PathLinks(src, dst arch.SocketID) []int {
 	return out
 }
 
-// acquire takes a pooled route record for a size-byte message entering
-// the fabric now at src, bound for dst.
-func (f *Fabric) acquire(src, dst arch.SocketID, size int) int {
-	var idx int
-	if n := len(f.freeRl); n > 0 {
-		idx = f.freeRl[n-1]
-		f.freeRl = f.freeRl[:n-1]
-	} else {
-		f.recs = append(f.recs, routeRec{})
-		idx = len(f.recs) - 1
-	}
-	r := &f.recs[idx]
-	r.path, r.pos, r.size = f.paths[src][dst], 0, size
-	return idx
-}
-
 // hopDone fires when a message finishes one link traversal: charge the
 // edge's switch-hop latency, then continue the walk.
 func (f *Fabric) hopDone(now sim.Time, arg int) {
-	r := &f.recs[arg]
+	r := f.recs.At(arg)
 	post := r.path[r.pos].post
 	r.pos++
 	if post > 0 {
@@ -306,14 +290,14 @@ func (f *Fabric) hopDone(now sim.Time, arg int) {
 
 // step sends the message down its next link, or delivers it.
 func (f *Fabric) step(now sim.Time, arg int) {
-	r := &f.recs[arg]
+	r := f.recs.At(arg)
 	if r.pos < len(r.path) {
 		h := r.path[r.pos]
 		h.link.SendArg(h.dir, r.size, f.hopH, arg)
 		return
 	}
 	done, doneArg := r.done, r.doneArg
-	f.freeRl = append(f.freeRl, arg)
+	f.recs.Free(arg)
 	if done != 0 {
 		f.eng.Call(done, doneArg)
 	}
@@ -332,9 +316,7 @@ func (f *Fabric) RouteArg(src, dst arch.SocketID, size int, h sim.Handler, arg i
 		}
 		return
 	}
-	idx := f.acquire(src, dst, size)
-	r := &f.recs[idx]
-	r.done, r.doneArg = h, arg
+	idx := f.recs.Put(routeRec{path: f.paths[src][dst], size: size, done: h, doneArg: arg})
 	f.step(f.eng.Now(), idx)
 }
 
