@@ -47,19 +47,19 @@ type Stats struct {
 	// RemoteRuns counts runs executed by Options.Backend instead of
 	// the local simulator.
 	RemoteRuns uint64 `json:"remote_runs"`
-	// DeltaHits counts unique sweep-plan keys Runner.Plan resolved
-	// without new work (already memoized, or promoted from the
-	// second-level cache at planning time): the measurable win of
-	// delta-aware sweep coalescing.
+	// DeltaHits counts unique keys of RunAll sweeps resolved without
+	// new work (SourceCached: already memoized, or served from the
+	// second-level cache): the measurable win of delta-aware sweep
+	// coalescing.
 	DeltaHits uint64 `json:"delta_hits"`
-	// CoalescedKeys counts unique sweep-plan keys Runner.Plan found
-	// already in flight — the plan's runs ride existing executions
-	// instead of starting their own.
+	// CoalescedKeys counts unique keys of RunAll sweeps that joined
+	// another caller's execution in flight (SourceCoalesced) instead of
+	// starting their own.
 	CoalescedKeys uint64 `json:"coalesced_keys"`
 }
 
 // Add returns the fieldwise sum of two snapshots (used to aggregate a
-// runner set or a worker fleet).
+// worker fleet).
 func (s Stats) Add(o Stats) Stats {
 	return Stats{
 		Simulations:   s.Simulations + o.Simulations,

@@ -74,9 +74,8 @@ type Options struct {
 	// under RunAll.
 	ObsSink func(key string, spec workload.Spec, col *obs.Collector)
 	// OnResult, when non-nil, is invoked exactly once per unique run
-	// key the Runner completes — simulated, cache-served, or remote,
-	// including keys a Plan resolves from the second-level cache — with
-	// the run's content address (RunKey), its result, and how the
+	// key the Runner completes — simulated, cache-served, or remote —
+	// with the run's content address (RunKey), its result, and how the
 	// winning execution obtained it. Invocations are serialized; under
 	// parallelism their order is completion order. Runs that panic
 	// (including deterministic backend failures) fire no callback.
@@ -120,6 +119,9 @@ func (o Options) normalized() Options {
 	if o.Workloads == nil {
 		o.Workloads = workload.Table()
 	}
+	if o.MaxCTAs < 0 {
+		o.MaxCTAs = 0 // uncapped either way; one spelling keeps one RunKey
+	}
 	if o.Parallelism < 1 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -146,7 +148,7 @@ type Result struct {
 // the same (config, workload) pair share a single simulation — the
 // first caller runs it, the rest block on its completion — so each
 // memo key is simulated exactly once per Runner lifetime. The Runners
-// that Session derives share that memo (see Session).
+// that Session and Scaled derive share that memo.
 type Runner struct {
 	opts Options
 	*shared
@@ -158,8 +160,8 @@ type Runner struct {
 	seen map[string]bool
 }
 
-// shared is the execution state of a Runner and every Session derived
-// from it.
+// shared is the execution state of a Runner and every Runner Session
+// or Scaled derives from it.
 type shared struct {
 	mu   sync.Mutex // guards memo (the map itself, not entry results)
 	memo map[string]*memoEntry
@@ -175,8 +177,8 @@ type shared struct {
 // panicking simulation records its panic value so every caller of the
 // key re-raises it instead of reading a zero Result off the spent Once.
 // done flips (after res and source are set) when the entry completed
-// successfully, so planners and late callers can distinguish a finished
-// entry from one still mid-simulation.
+// successfully, so a late caller can tell a finished entry (cached) from
+// one still mid-simulation (coalesced).
 type memoEntry struct {
 	once     sync.Once
 	res      core.Result
@@ -201,6 +203,18 @@ func NewRunner(opts Options) *Runner {
 // carries, and must not call back into the returned Runner.
 func (r *Runner) Session(on func(key string, res core.Result, source RunSource)) *Runner {
 	return &Runner{opts: r.opts, shared: r.shared, on: on, seen: make(map[string]bool)}
+}
+
+// Scaled derives a Runner for another workload scaling: it shares r's
+// memo, cache, backend, options and counters, and differs only in
+// IterScale and MaxCTAs, normalized as Options are (a non-positive
+// iterScale is 1, a negative maxCTAs uncapped). RunKey embeds the
+// scaling, so runs of every scale share the one memo without colliding.
+// The derived Runner reports to no Session callback.
+func (r *Runner) Scaled(iterScale float64, maxCTAs int) *Runner {
+	o := r.opts
+	o.IterScale, o.MaxCTAs = iterScale, maxCTAs
+	return &Runner{opts: o.normalized(), shared: r.shared}
 }
 
 // Options reports the normalized options in use.
@@ -436,11 +450,14 @@ type RunRequest struct {
 // order: out[i] is the result of reqs[i]. Each key runs once however
 // often the sweep repeats it (a repeat in flight alongside the first
 // request would otherwise race it to the Session callback and could
-// report the caller's own simulation as coalesced), and a key already
-// memoized costs nothing extra. The pool takes the requests grouped by
-// configuration (see byConfig), and each worker resets the System of
-// its last run for the next run of the same configuration instead of
-// building a new one. Because each simulation is deterministic and a
+// report the caller's own simulation as coalesced). Each unique key
+// resolves through the memo, then Options.Cache, then Options.Backend,
+// and only then the local simulator, so an overlapping sweep executes
+// only its uncovered delta: keys resolved without new work count into
+// Stats.DeltaHits, keys joined in flight into Stats.CoalescedKeys. The
+// pool takes the requests grouped by configuration (see byConfig), and
+// each worker resets the System of its last run for the next run of
+// the same configuration instead of building a new one. Because each simulation is deterministic and a
 // reset System runs exactly as a fresh one, the returned slice is
 // identical to what a sequential loop over Run would produce; only
 // completion order, and with it the order of Options.OnResult and
@@ -463,6 +480,12 @@ func (r *Runner) RunAll(reqs []RunRequest) []core.Result {
 	res := runPool(r.opts.Parallelism, len(uniq), order, func(j int, w *sysSlot) core.Result {
 		i := uniq[j]
 		res, src := r.runKeyed(keys[i], reqs[i].Cfg, reqs[i].Spec, w)
+		switch src {
+		case SourceCached:
+			r.deltaHits.Add(1)
+		case SourceCoalesced:
+			r.coalescedKeys.Add(1)
+		}
 		r.emit(keys[i], res, src)
 		return res
 	})

@@ -1,15 +1,41 @@
 package exp
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
+// sources runs reqs through a Session of r and returns how the Session
+// saw each unique key resolve.
+func sources(r *Runner, reqs []RunRequest) map[string]RunSource {
+	var mu sync.Mutex
+	got := map[string]RunSource{}
+	r.Session(func(key string, _ core.Result, src RunSource) {
+		mu.Lock()
+		got[key] = src
+		mu.Unlock()
+	}).RunAll(reqs)
+	return got
+}
+
+// count reports how many keys resolved from each source.
+func count(got map[string]RunSource) map[RunSource]int {
+	n := map[RunSource]int{}
+	for _, src := range got {
+		n[src]++
+	}
+	return n
+}
+
 // TestPlanOverlappingSweeps is the delta-planning contract: sweep B
-// overlapping sweep A by N keys classifies those N as Cached, executes
+// overlapping sweep A by N keys resolves those N as cached, executes
 // exactly |B|-N new simulations, and counts the N into Stats.DeltaHits.
 func TestPlanOverlappingSweeps(t *testing.T) {
 	opts := tinyOptions()
@@ -30,24 +56,20 @@ func TestPlanOverlappingSweeps(t *testing.T) {
 	}
 	overlap := 2
 
-	planA := r.Plan(sweepA)
-	if len(planA.Todo) != len(sweepA) || len(planA.Cached) != 0 || len(planA.Inflight) != 0 {
-		t.Fatalf("cold plan A = %d todo / %d cached / %d inflight, want all %d todo",
-			len(planA.Todo), len(planA.Cached), len(planA.Inflight), len(sweepA))
+	if n := count(sources(r, sweepA)); n[SourceSimulated] != len(sweepA) || len(n) != 1 {
+		t.Fatalf("cold sweep A resolved %v, want all %d simulated", n, len(sweepA))
 	}
-	r.RunAll(sweepA)
-	if st := r.Stats(); st.Simulations != uint64(len(sweepA)) {
-		t.Fatalf("sweep A ran %d simulations, want %d", st.Simulations, len(sweepA))
+	if st := r.Stats(); st.Simulations != uint64(len(sweepA)) || st.DeltaHits != 0 {
+		t.Fatalf("sweep A stats = %+v, want %d simulations and no delta hit", st, len(sweepA))
 	}
 
-	planB := r.Plan(sweepB)
-	if len(planB.Cached) != overlap {
-		t.Fatalf("plan B cached %d keys, want the overlap %d", len(planB.Cached), overlap)
+	n := count(sources(r, sweepB))
+	if n[SourceCached] != overlap {
+		t.Fatalf("sweep B resolved %d keys cached, want the overlap %d", n[SourceCached], overlap)
 	}
-	if want := len(sweepB) - overlap; len(planB.Todo) != want {
-		t.Fatalf("plan B todo %d keys, want the delta %d", len(planB.Todo), want)
+	if want := len(sweepB) - overlap; n[SourceSimulated] != want {
+		t.Fatalf("sweep B simulated %d keys, want the delta %d", n[SourceSimulated], want)
 	}
-	r.RunAll(sweepB)
 
 	st := r.Stats()
 	if want := uint64(len(sweepA) + len(sweepB) - overlap); st.Simulations != want {
@@ -63,8 +85,8 @@ func TestPlanOverlappingSweeps(t *testing.T) {
 
 // TestPlanPrefillsFromCache simulates the cross-restart delta: a fresh
 // Runner whose second-level cache already holds a sweep's results must
-// classify every key Cached at plan time, fire OnResult for each with
-// SourceCached, and then execute zero simulations.
+// resolve every key cached, fire OnResult for each once with
+// SourceCached, and execute zero simulations.
 func TestPlanPrefillsFromCache(t *testing.T) {
 	cache := newMapCache()
 	warmOpts := tinyOptions()
@@ -78,38 +100,134 @@ func TestPlanPrefillsFromCache(t *testing.T) {
 
 	var mu sync.Mutex
 	got := map[string]RunSource{}
+	fired := 0
 	o := tinyOptions()
 	o.Cache = cache
 	o.OnResult = func(key string, res core.Result, src RunSource) {
 		mu.Lock()
 		got[key] = src
+		fired++
 		mu.Unlock()
 	}
 	r := NewRunner(o)
-	plan := r.Plan(reqs)
-	if len(plan.Cached) != len(reqs) {
-		t.Fatalf("warm plan cached %d of %d keys", len(plan.Cached), len(reqs))
-	}
-	if len(got) != len(reqs) {
-		t.Fatalf("OnResult fired for %d keys at plan time, want %d", len(got), len(reqs))
+	res := r.RunAll(append(reqs, reqs...))
+	if len(got) != len(reqs) || fired != len(reqs) {
+		t.Fatalf("OnResult fired %d times for %d keys, want once for each of %d", fired, len(got), len(reqs))
 	}
 	for key, src := range got {
 		if src != SourceCached {
-			t.Fatalf("prefill of %s reported source %q, want %q", key, src, SourceCached)
+			t.Fatalf("warm run of %s reported source %q, want %q", key, src, SourceCached)
 		}
 	}
-	res := r.RunAll(reqs)
 	st := r.Stats()
 	if st.Simulations != 0 || st.CacheHits != uint64(len(reqs)) || st.DeltaHits != uint64(len(reqs)) {
 		t.Fatalf("warm sweep stats = %+v, want 0 sims, %d cache hits, %d delta hits", st, len(reqs), len(reqs))
 	}
-	if len(got) != len(reqs) {
-		t.Fatalf("OnResult fired %d times after RunAll, want still %d (once per key)", len(got), len(reqs))
-	}
-	for i, q := range reqs {
+	for i, q := range append(reqs, reqs...) {
 		if res[i].Name != q.Spec.Name {
 			t.Fatalf("result %d named %q, want %q", i, res[i].Name, q.Spec.Name)
 		}
+	}
+}
+
+// gatedBackend holds every Execute until release is closed, after
+// announcing the call on started, and then returns a fabricated result.
+type gatedBackend struct {
+	started chan string
+	release chan struct{}
+}
+
+func (b gatedBackend) Execute(key string, _ arch.Config, spec workload.Spec, _ workload.Options) (core.Result, error) {
+	b.started <- key
+	<-b.release
+	return core.Result{Name: spec.Name, Cycles: 7}, nil
+}
+
+// awaitJoined waits until n goroutines wait in runKeyed on a memo entry
+// another goroutine is executing: they have read the entry unfinished
+// and block in its Once, which is what makes them coalesced.
+func awaitJoined(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		joined := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "(*Runner).runKeyed(") && strings.Contains(g, "sync.(*Once).doSlow") &&
+				!strings.Contains(g, "gatedBackend") {
+				joined++
+			}
+		}
+		if joined >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d callers joined the in-flight run", joined, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPlanCoalescesInFlightKeys covers the coalesced path: a second
+// sweep that reaches a key while another caller is executing it joins
+// that execution, reports SourceCoalesced and counts one CoalescedKeys,
+// and nothing runs twice.
+func TestPlanCoalescesInFlightKeys(t *testing.T) {
+	b := gatedBackend{started: make(chan string, 1), release: make(chan struct{})}
+	opts := tinyOptions()
+	opts.Backend = b
+	r := NewRunner(opts)
+	req := RunRequest{r.Base(2), r.opts.Workloads[0]}
+
+	first := make(chan map[string]RunSource)
+	go func() { first <- sources(r, []RunRequest{req}) }()
+	<-b.started
+	second := make(chan map[string]RunSource)
+	go func() { second <- sources(r, []RunRequest{req, req}) }()
+	awaitJoined(t, 1)
+	close(b.release)
+
+	key := r.RunKey(req.Cfg, req.Spec)
+	if src := (<-first)[key]; src != SourceRemote {
+		t.Fatalf("executing sweep saw %q, want %q", src, SourceRemote)
+	}
+	if got := <-second; len(got) != 1 || got[key] != SourceCoalesced {
+		t.Fatalf("joining sweep saw %v, want %s %s", got, key, SourceCoalesced)
+	}
+	if st := r.Stats(); st.RemoteRuns != 1 || st.CoalescedKeys != 1 || st.DeltaHits != 0 {
+		t.Fatalf("stats = %+v, want 1 remote run, 1 coalesced key, 0 delta hits", st)
+	}
+}
+
+// TestScaledSharesMemoAndCounters: Runners Scaled derives share one
+// memo and one counter set across scales, so the same key asked twice
+// simulates once while two scales simulate twice, and every derived
+// Runner reports the same Stats.
+func TestScaledSharesMemoAndCounters(t *testing.T) {
+	r := NewRunner(tinyOptions())
+	spec := r.opts.Workloads[0]
+	half := r.opts.IterScale / 2
+	a, b := r.Scaled(half, r.opts.MaxCTAs), r.Scaled(half, r.opts.MaxCTAs)
+	if a.Options().IterScale != half || a.Options().Divisor != r.opts.Divisor {
+		t.Fatalf("Scaled options = %+v", a.Options())
+	}
+	ra := a.Run(a.Base(2), spec)
+	rb := b.Run(b.Base(2), spec)
+	if ra.Cycles != rb.Cycles || ra.Instructions != rb.Instructions {
+		t.Fatal("one key read two results")
+	}
+	if st := r.Stats(); st.Simulations != 1 {
+		t.Fatalf("the same key at one scale simulated %d times, want 1", st.Simulations)
+	}
+	r.Run(r.Base(2), spec)
+	if st := r.Stats(); st.Simulations != 2 || a.Stats() != st || b.Stats() != st {
+		t.Fatalf("two scales: stats %+v / %+v / %+v, want 2 simulations shared", st, a.Stats(), b.Stats())
+	}
+	// Arguments normalize as Options do: 0 is scale 1, a negative cap
+	// is uncapped.
+	cfg := r.Base(2)
+	if r.Scaled(0, -3).RunKey(cfg, spec) != r.Scaled(1, 0).RunKey(cfg, spec) {
+		t.Fatal("Scaled(0, -3) and Scaled(1, 0) key differently")
 	}
 }
 
@@ -220,8 +338,9 @@ func TestSessionAttribution(t *testing.T) {
 }
 
 // TestPlanObservedSweepSkipsCache pins the observability constraint: an
-// observed run must actually simulate, so Plan with Obs enabled
-// classifies everything Todo without consulting the cache.
+// observed run must actually simulate, so RunAll with Obs enabled
+// simulates every key without consulting the cache and counts no delta
+// hit.
 func TestPlanObservedSweepSkipsCache(t *testing.T) {
 	cache := newMapCache()
 	warm := NewRunner(cachedOptions(cache))
@@ -232,11 +351,13 @@ func TestPlanObservedSweepSkipsCache(t *testing.T) {
 	o := cachedOptions(cache)
 	o.Obs = arch.ObsSpec{Series: true, SamplePeriod: 500}
 	r := NewRunner(o)
-	plan := r.Plan([]RunRequest{req})
-	if len(plan.Todo) != 1 || len(plan.Cached) != 0 {
-		t.Fatalf("observed plan = %d todo / %d cached, want 1/0", len(plan.Todo), len(plan.Cached))
+	if got := sources(r, []RunRequest{req}); got[r.RunKey(req.Cfg, req.Spec)] != SourceSimulated {
+		t.Fatalf("observed sweep resolved %v, want simulated", got)
+	}
+	if st := r.Stats(); st.Simulations != 1 || st.DeltaHits != 0 || st.CacheHits != 0 {
+		t.Fatalf("observed sweep stats = %+v, want 1 simulation and no cache or delta hit", st)
 	}
 	if gets := cache.gets - getsBefore; gets != 0 {
-		t.Fatalf("observed plan consulted the cache %d times, want 0", gets)
+		t.Fatalf("observed sweep consulted the cache %d times, want 0", gets)
 	}
 }

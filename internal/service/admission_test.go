@@ -54,9 +54,13 @@ func blockedServer(t *testing.T, cfg Config) (*Server, *httptest.Server, string)
 	return srv, ts, reg.WorkerID
 }
 
-// unblock completes every pending/leased shard with a fabricated result
-// so queued jobs drain and Close does not re-simulate.
-func unblock(t *testing.T, srv *Server, workerID string) {
+// unblock completes every shard offered to the blocker with a
+// fabricated result until each named job is done or failed, so those
+// jobs drain and Close does not re-simulate. It keeps draining past an
+// empty shard table: a job already marked running may not have reached
+// the fabric yet, and a queued one reaches it only after the job ahead
+// of it finishes.
+func unblock(t *testing.T, srv *Server, workerID string, jobs ...string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -74,12 +78,18 @@ func unblock(t *testing.T, srv *Server, workerID string) {
 				t.Fatalf("unblock results: %v", err)
 			}
 		}
-		snap := srv.fabric.snapshot()
-		if snap.Pending == 0 && snap.Leased == 0 {
+		finished := true
+		for _, id := range jobs {
+			if j, ok := srv.lookup(id); ok {
+				st := srv.status(j).State
+				finished = finished && (st == JobDone || st == JobFailed)
+			}
+		}
+		if finished {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("shards never drained: %+v", snap)
+			t.Fatalf("jobs %v never finished; fabric %+v", jobs, srv.fabric.snapshot())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -151,7 +161,7 @@ func TestQueueFullShedsWith429(t *testing.T) {
 	}
 
 	// Both admitted jobs still complete once the fabric drains.
-	unblock(t, srv, blocker)
+	unblock(t, srv, blocker, j1.ID, j2.ID)
 	awaitJobState(t, srv, j1.ID, JobDone)
 	awaitJobState(t, srv, j2.ID, JobDone)
 	srv.Close()
@@ -266,7 +276,7 @@ func TestDeadlineExpiredJobCancelledAtDequeue(t *testing.T) {
 	}
 	time.Sleep(60 * time.Millisecond) // let the deadline lapse while queued
 
-	unblock(t, srv, blocker)
+	unblock(t, srv, blocker, j1.ID, j2.ID)
 	awaitJobState(t, srv, j1.ID, JobDone) // in-flight work was never shed
 	awaitJobState(t, srv, j2.ID, JobFailed)
 	if j, _ := srv.lookup(j2.ID); !strings.Contains(srv.status(j).Error, "deadline") {

@@ -118,12 +118,11 @@ func TestFabricClientRetries429HonoringRetryAfter(t *testing.T) {
 			writeAPIError(w, http.StatusTooManyRequests, "queue_full", "shed")
 			return
 		}
-		writeJSON(w, http.StatusAccepted, RemoteRunStatus{ID: "x", State: JobDone, Result: &res})
+		writeJSON(w, http.StatusOK, res)
 	}))
 	defer ts.Close()
 
 	fc := NewFabricClient(ts.URL)
-	fc.Poll = time.Millisecond
 	fc.Backoff = time.Millisecond
 	fc.MaxBackoff = 5 * time.Millisecond
 	spec, opts := chaosExecuteArgs()
@@ -147,7 +146,7 @@ func TestFabricClientRetries429HonoringRetryAfter(t *testing.T) {
 func TestFabricClientHalfOpenLatch(t *testing.T) {
 	res := core.Result{Name: "n", Cycles: 3}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusAccepted, RemoteRunStatus{ID: "x", State: JobDone, Result: &res})
+		writeJSON(w, http.StatusOK, res)
 	}))
 	defer ts.Close()
 
@@ -155,7 +154,6 @@ func TestFabricClientHalfOpenLatch(t *testing.T) {
 	ft.partition(true)
 	fc := NewFabricClient(ts.URL)
 	fc.HTTPClient = &http.Client{Transport: ft}
-	fc.Poll = time.Millisecond
 	fc.Retries = 2
 	fc.Backoff = time.Millisecond
 	fc.MaxBackoff = 60 * time.Millisecond
@@ -197,7 +195,6 @@ func TestFabricClientFailedProbeRearmsLatch(t *testing.T) {
 	ft.partition(true)
 	fc := NewFabricClient("http://127.0.0.1:0")
 	fc.HTTPClient = &http.Client{Transport: ft}
-	fc.Poll = time.Millisecond
 	fc.Retries = 2
 	fc.Backoff = time.Millisecond
 	fc.MaxBackoff = 40 * time.Millisecond

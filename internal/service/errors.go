@@ -29,7 +29,7 @@ const (
 	// codeInvalidArgument: the request body, path, or headers failed
 	// validation (HTTP 400).
 	codeInvalidArgument = "invalid_argument"
-	// codeNotFound: no such experiment, job, or run (HTTP 404).
+	// codeNotFound: no such experiment or job (HTTP 404).
 	codeNotFound = "not_found"
 	// codeNotReady: the resource exists but is not in a state the
 	// request can use — a /result poll on a job still queued or

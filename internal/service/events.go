@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -19,9 +21,6 @@ const (
 	// EventRunDone reports one completed run of a sweep or experiment;
 	// Run carries the details.
 	EventRunDone = "run_done"
-	// EventProgress is a human-readable note (e.g. the sweep's delta
-	// plan summary); Message carries it.
-	EventProgress = "progress"
 	// EventError reports the failure message of a job that ended in
 	// state=failed; Message carries it.
 	EventError = "error"
@@ -46,9 +45,8 @@ type JobEvent struct {
 }
 
 // RunDone is the payload of a run_done event: one completed run,
-// identified by the same content address the fabric run endpoints use
-// (the hex SHA-256 of the RunKey), so a streamed completion can be
-// correlated with cache entries and remote runs. Source says how the
+// identified by the content address of its RunKey (see runID), so a
+// streamed completion can be correlated across jobs. Source says how the
 // result was obtained (simulated, cached, remote, coalesced) — an SSE
 // replay after reconnect re-sends the same reference, never a
 // re-simulation.
@@ -61,19 +59,19 @@ type RunDone struct {
 	Total    int           `json:"total,omitempty"`
 }
 
+// runID is the short, fixed-width content address of a RunKey, its hex
+// SHA-256 (RunKeys themselves are long and contain '/' and '|').
+func runID(key string) string {
+	sum := sha256.Sum256([]byte(key))
+	return hex.EncodeToString(sum[:])
+}
+
 // appendEventLocked stamps the next dense ID on ev, appends it to the
 // job's log, and wakes every streaming reader. Caller holds s.mu.
 func (s *Server) appendEventLocked(j *job, ev JobEvent) {
 	ev.ID = len(j.events) + 1
 	j.events = append(j.events, ev)
 	s.eventCond.Broadcast()
-}
-
-// appendEvent is appendEventLocked for callers not holding s.mu.
-func (s *Server) appendEvent(j *job, ev JobEvent) {
-	s.mu.Lock()
-	s.appendEventLocked(j, ev)
-	s.mu.Unlock()
 }
 
 // handleJobEvents streams a job's event log as Server-Sent Events: one

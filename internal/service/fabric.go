@@ -1,8 +1,6 @@
 package service
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -822,22 +820,6 @@ type FabricStatus struct {
 	JournalBytes      int64                `json:"journal_bytes"`
 }
 
-// RemoteRunStatus is the wire form of one remotely submitted run
-// (POST /v1/fabric/runs → GET /v1/fabric/runs/{id}).
-type RemoteRunStatus struct {
-	ID     string       `json:"id"`
-	State  JobState     `json:"state"`
-	Result *core.Result `json:"result,omitempty"`
-	Error  string       `json:"error,omitempty"`
-}
-
-// runID is the URL-safe content address of a RunKey (RunKeys themselves
-// contain '/' and '|'), shared by the submit and poll endpoints.
-func runID(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:])
-}
-
 // --- coordinator HTTP handlers ---
 
 func (s *Server) handleFabricRegister(w http.ResponseWriter, r *http.Request) {
@@ -909,12 +891,13 @@ func (s *Server) handleFabricStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleFabricSubmitRun accepts one run from a remote client (numagpu
-// -remote via FabricClient), verifies its RunKey against a locally
-// derived one, and executes it through the coordinator's runner set —
-// so remote submissions share the memo, the disk cache, and the worker
-// fleet with every other source of work.
-func (s *Server) handleFabricSubmitRun(w http.ResponseWriter, r *http.Request) {
+// handleFabricRun executes one run for a remote client (numagpu -remote
+// via FabricClient) and replies with its core.Result. It verifies the
+// RunKey against one derived here, then runs it on the Runner of the
+// run's workload scaling, so remote runs share the memo, the disk cache
+// and the worker fleet with every other source of work: a retried or
+// duplicated POST joins the execution already under way.
+func (s *Server) handleFabricRun(w http.ResponseWriter, r *http.Request) {
 	var run WireRun
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -931,130 +914,37 @@ func (s *Server) handleFabricSubmitRun(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, codeInvalidArgument, "invalid config: %v", err)
 		return
 	}
-	runner := s.runners.runner(run.IterScale, run.MaxCTAs)
+	runner := s.runner.Scaled(run.IterScale, run.MaxCTAs)
 	if want := runner.RunKey(run.Cfg, spec); want != run.Key {
 		// Client and coordinator disagree on the content address:
 		// mixed simulator versions. Refusing keeps the cache coherent.
 		writeAPIError(w, http.StatusConflict, codeVersionSkew, "run key mismatch (client %q, coordinator %q): simulator version skew?", run.Key, want)
 		return
 	}
-	st, err := s.startRemoteRun(runner, run.Cfg, spec, run.Key)
-	if err != nil {
-		writeAPIError(w, http.StatusServiceUnavailable, codeDraining, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-func (s *Server) handleFabricRunStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.remoteMu.Lock()
-	rr, ok := s.remoteRuns[id]
-	var st RemoteRunStatus
-	if ok {
-		st = rr.status()
-	}
-	s.remoteMu.Unlock()
-	if !ok {
-		writeAPIError(w, http.StatusNotFound, codeNotFound, "unknown run %q", id)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// remoteRun tracks one POST /v1/fabric/runs submission. Mutable fields
-// are guarded by Server.remoteMu.
-type remoteRun struct {
-	id    string
-	state JobState
-	res   core.Result
-	err   string
-}
-
-func (rr *remoteRun) status() RemoteRunStatus {
-	st := RemoteRunStatus{ID: rr.id, State: rr.state, Error: rr.err}
-	if rr.state == JobDone {
-		res := rr.res
-		st.Result = &res
-	}
-	return st
-}
-
-// remoteRunRetention bounds the finished remote-run table, mirroring
-// JobRetention for the job queue.
-const remoteRunRetention = 4096
-
-// startRemoteRun begins (or joins) the execution of one remotely
-// submitted run, identified by the content address of its RunKey.
-func (s *Server) startRemoteRun(runner *exp.Runner, cfg arch.Config, spec workload.Spec, key string) (RemoteRunStatus, error) {
-	id := runID(key)
 	s.mu.Lock()
-	closing := s.closing
-	if !closing {
-		s.wg.Add(1) // Close waits for in-flight remote runs too
-	}
-	s.mu.Unlock()
-	if closing {
-		return RemoteRunStatus{}, errors.New("service: shutting down")
-	}
-
-	s.remoteMu.Lock()
-	if rr, ok := s.remoteRuns[id]; ok {
-		st := rr.status()
-		s.remoteMu.Unlock()
-		s.wg.Done() // joined an existing run
-		return st, nil
-	}
-	rr := &remoteRun{id: id, state: JobRunning}
-	s.remoteRuns[id] = rr
-	s.remoteOrder = append(s.remoteOrder, id)
-	s.remoteActive++
-	s.evictRemoteLocked()
-	st := rr.status() // snapshot before the goroutine can mutate rr
-	s.remoteMu.Unlock()
-
-	go func() {
-		defer s.wg.Done()
-		defer func() {
-			s.remoteMu.Lock()
-			s.remoteActive--
-			s.remoteMu.Unlock()
-		}()
-		res, err := func() (res core.Result, err error) {
-			defer func() {
-				if p := recover(); p != nil {
-					err = fmt.Errorf("%v", p)
-				}
-			}()
-			return runner.Run(cfg, spec), nil
-		}()
-		s.remoteMu.Lock()
-		if err != nil {
-			rr.state, rr.err = JobFailed, err.Error()
-		} else {
-			rr.state, rr.res = JobDone, res
-		}
-		s.remoteMu.Unlock()
-	}()
-	return st, nil
-}
-
-// evictRemoteLocked drops the oldest finished remote runs beyond the
-// retention bound. Caller holds s.remoteMu.
-func (s *Server) evictRemoteLocked() {
-	if len(s.remoteOrder) <= remoteRunRetention {
+	if s.closing {
+		s.mu.Unlock()
+		writeAPIError(w, http.StatusServiceUnavailable, codeDraining, "%v", errClosing)
 		return
 	}
-	kept := s.remoteOrder[:0]
-	excess := len(s.remoteOrder) - remoteRunRetention
-	for _, id := range s.remoteOrder {
-		rr := s.remoteRuns[id]
-		if excess > 0 && rr.state != JobRunning {
-			delete(s.remoteRuns, id)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
+	s.wg.Add(1) // Close waits for in-flight remote runs too
+	s.remoteActive++
+	s.mu.Unlock()
+	res, err := func() (res core.Result, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("%v", p)
+			}
+		}()
+		return runner.Run(run.Cfg, spec), nil
+	}()
+	s.mu.Lock()
+	s.remoteActive--
+	s.mu.Unlock()
+	s.wg.Done()
+	if err != nil {
+		writeAPIError(w, http.StatusInternalServerError, codeJobFailed, "run failed: %v", err)
+		return
 	}
-	s.remoteOrder = kept
+	writeJSON(w, http.StatusOK, res)
 }

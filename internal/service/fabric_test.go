@@ -3,8 +3,10 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -743,63 +745,27 @@ func TestWorkerReregistrationDoesNotDoubleCountStats(t *testing.T) {
 	}
 }
 
-// TestFabricClientResubmitsOn404 pins the client's recovery from a
-// coordinator that forgot a run (restart or retention eviction): a 404
-// on the status poll triggers an idempotent resubmit, while any other
-// HTTP error reply fails immediately instead of burning the transport
-// retry budget.
-func TestFabricClientResubmitsOn404(t *testing.T) {
-	var posts, gets atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/fabric/runs", func(w http.ResponseWriter, r *http.Request) {
-		if posts.Add(1) == 1 {
-			writeJSON(w, http.StatusAccepted, RemoteRunStatus{ID: "x", State: JobRunning})
-			return
-		}
-		res := core.Result{Name: "n", Cycles: 5}
-		writeJSON(w, http.StatusAccepted, RemoteRunStatus{ID: "x", State: JobDone, Result: &res})
-	})
-	mux.HandleFunc("GET /v1/fabric/runs/x", func(w http.ResponseWriter, r *http.Request) {
-		gets.Add(1)
-		writeAPIError(w, http.StatusNotFound, codeNotFound, "unknown run")
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	fc := NewFabricClient(ts.URL)
-	fc.Poll = time.Millisecond
-	spec, _ := workload.ByName("Other-Stream-Triad")
-	res, err := fc.Execute("k", arch.Config{}, spec, workload.Options{})
-	if err != nil || res.Cycles != 5 {
-		t.Fatalf("Execute = %+v, %v; want resubmitted result", res, err)
-	}
-	if posts.Load() != 2 || gets.Load() != 1 {
-		t.Fatalf("posts=%d gets=%d, want exactly one 404 then one resubmit", posts.Load(), gets.Load())
-	}
-}
-
+// TestFabricClientFailsFastOnHTTPError: an authoritative error reply
+// (here a failed run's 500) fails the run on the one request that got
+// it instead of burning the transport retry budget.
 func TestFabricClientFailsFastOnHTTPError(t *testing.T) {
-	var gets atomic.Int64
+	var posts atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/fabric/runs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusAccepted, RemoteRunStatus{ID: "x", State: JobRunning})
-	})
-	mux.HandleFunc("GET /v1/fabric/runs/x", func(w http.ResponseWriter, r *http.Request) {
-		gets.Add(1)
+		posts.Add(1)
 		writeAPIError(w, http.StatusInternalServerError, codeJobFailed, "boom")
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
 	fc := NewFabricClient(ts.URL)
-	fc.Poll = time.Millisecond
 	spec, _ := workload.ByName("Other-Stream-Triad")
 	_, err := fc.Execute("k", arch.Config{}, spec, workload.Options{})
-	if err == nil || !strings.Contains(err.Error(), "boom") {
+	if err == nil || !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), "service: fabric submit:") {
 		t.Fatalf("Execute err = %v, want the server's error", err)
 	}
-	if gets.Load() != 1 {
-		t.Fatalf("client polled %d times against an authoritative error, want 1", gets.Load())
+	if posts.Load() != 1 {
+		t.Fatalf("client posted %d times against an authoritative error, want 1", posts.Load())
 	}
 }
 
@@ -847,6 +813,137 @@ func TestFabricRemoteRunEndpoint(t *testing.T) {
 	_, err := fc.Execute("v999|bogus", local.Base(2), spec, workload.Options{IterScale: 0.1, MaxCTAs: 64})
 	if err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("key skew accepted: %v", err)
+	}
+}
+
+// runReply is the status and body of one POST /v1/fabric/runs reply.
+type runReply struct {
+	status int
+	body   []byte
+}
+
+// postRun sends one WireRun to POST /v1/fabric/runs. It reports a
+// failed request with t.Error, so it may run on any goroutine.
+func postRun(t *testing.T, url string, run WireRun) runReply {
+	t.Helper()
+	body, _ := json.Marshal(run)
+	resp, err := http.Post(url+"/v1/fabric/runs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return runReply{}
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Error(err)
+	}
+	return runReply{resp.StatusCode, b}
+}
+
+// errorCode decodes the error envelope's code from a reply body.
+func errorCode(t *testing.T, body []byte) string {
+	t.Helper()
+	var env struct {
+		Error APIError `json:"error"`
+	}
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("body is not the error envelope: %v: %s", err, body)
+	}
+	return env.Error.Code
+}
+
+// wireRun builds the WireRun of one workload on the server's 2-socket
+// base configuration, keyed as the server keys it.
+func wireRun(srv *Server, name string) WireRun {
+	spec, _ := workload.ByName(name)
+	cfg := srv.runner.Base(2)
+	o := srv.runner.Options()
+	return WireRun{Key: srv.runner.RunKey(cfg, spec), Cfg: cfg, Workload: name, IterScale: o.IterScale, MaxCTAs: o.MaxCTAs}
+}
+
+// TestFabricRunEndpointJoinsDuplicates: identical POSTs that arrive
+// while the run is executing join that one execution through the memo,
+// and every reply, a later one too, carries the same bytes.
+func TestFabricRunEndpointJoinsDuplicates(t *testing.T) {
+	srv, ts, blocker := blockedServer(t, Config{Workers: 1})
+	defer srv.Close()
+	run := wireRun(srv, "Other-Stream-Triad")
+
+	const n = 3
+	replies := make(chan runReply, n)
+	for i := 0; i < n; i++ {
+		go func() { replies <- postRun(t, ts.URL, run) }()
+	}
+	waitCond(t, 10*time.Second, "every POST in flight", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.remoteActive == n
+	})
+	shards := awaitLeased(t, srv.fabric, blocker, 1)
+	res := core.Result{Name: run.Workload, Cycles: 11}
+	if _, err := poll(srv.fabric, blocker, 0, ShardResult{ShardID: shards[0].ID, Key: run.Key, Result: &res}); err != nil {
+		t.Fatal(err)
+	}
+	var first []byte
+	for i := 0; i < n; i++ {
+		r := <-replies
+		if r.status != http.StatusOK {
+			t.Fatalf("POST %d: HTTP %d: %s", i, r.status, r.body)
+		}
+		if first == nil {
+			first = r.body
+		} else if !bytes.Equal(r.body, first) {
+			t.Fatalf("duplicate POSTs replied differently:\n%s\n%s", first, r.body)
+		}
+	}
+	if r := postRun(t, ts.URL, run); r.status != http.StatusOK || !bytes.Equal(r.body, first) {
+		t.Fatalf("a later POST replied HTTP %d with %s, want the same bytes", r.status, r.body)
+	}
+	var got core.Result
+	if err := json.Unmarshal(first, &got); err != nil || got.Cycles != 11 {
+		t.Fatalf("reply %s (%v), want the worker's result", first, err)
+	}
+	if st, fs := srv.RunnerStats(), srv.fabric.snapshot(); st.RemoteRuns != 1 || st.Simulations != 0 || fs.ShardsTotal != 1 {
+		t.Fatalf("stats %+v, fabric %+v: want one execution", st, fs)
+	}
+}
+
+// TestFabricRunEndpointFailedRun: a run that fails — here a worker
+// reports an error for its shard, which the Runner raises as a panic —
+// replies 500 job_failed carrying the failure.
+func TestFabricRunEndpointFailedRun(t *testing.T) {
+	srv, ts, blocker := blockedServer(t, Config{Workers: 1})
+	defer srv.Close()
+	run := wireRun(srv, "Other-Stream-Triad")
+
+	done := make(chan runReply, 1)
+	go func() { done <- postRun(t, ts.URL, run) }()
+	shards := awaitLeased(t, srv.fabric, blocker, 1)
+	if _, err := poll(srv.fabric, blocker, 0, ShardResult{ShardID: shards[0].ID, Key: run.Key, Error: "boom"}); err != nil {
+		t.Fatal(err)
+	}
+	r := <-done
+	if r.status != http.StatusInternalServerError || errorCode(t, r.body) != codeJobFailed || !bytes.Contains(r.body, []byte("boom")) {
+		t.Fatalf("failed run replied HTTP %d: %s, want 500 job_failed naming the failure", r.status, r.body)
+	}
+}
+
+// TestFabricRunEndpointDraining: once Close has begun, a POST is refused
+// with 503 draining instead of starting a run.
+func TestFabricRunEndpointDraining(t *testing.T) {
+	srv, err := New(Config{Options: tinyServiceOpts(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	srv.Close()
+	r := postRun(t, ts.URL, wireRun(srv, "Other-Stream-Triad"))
+	if r.status != http.StatusServiceUnavailable || errorCode(t, r.body) != codeDraining {
+		t.Fatalf("POST after Close replied HTTP %d: %s, want 503 draining", r.status, r.body)
+	}
+	if st := srv.RunnerStats(); st.Simulations != 0 {
+		t.Fatalf("a refused POST ran: %+v", st)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // hits/misses, job states, and queue depth — the numbers the
 // acceptance checks (singleflight, warm restart) observe.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	rs := s.runners.stats()
+	rs := s.runner.Stats()
 	fs := s.fabric.snapshot()
 
 	s.mu.Lock()
@@ -44,11 +44,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# TYPE numagpud_cache_misses_total counter\n")
 	p("numagpud_cache_misses_total %d\n", rs.CacheMisses)
 
-	p("# HELP numagpud_delta_hits_total Sweep-plan keys resolved without new work by delta planning.\n")
+	p("# HELP numagpud_delta_hits_total Runs a job's sweep resolved without new work (memoized or served from the result cache), once per key per sweep.\n")
 	p("# TYPE numagpud_delta_hits_total counter\n")
 	p("numagpud_delta_hits_total %d\n", rs.DeltaHits)
 
-	p("# HELP numagpud_coalesced_keys_total Sweep-plan keys found already in flight and coalesced onto the running execution.\n")
+	p("# HELP numagpud_coalesced_keys_total Runs a job's sweep joined while another caller was executing them, once per key per sweep.\n")
 	p("# TYPE numagpud_coalesced_keys_total counter\n")
 	p("numagpud_coalesced_keys_total %d\n", rs.CoalescedKeys)
 

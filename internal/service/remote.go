@@ -14,9 +14,11 @@ import (
 )
 
 // FabricClient implements exp.Backend over HTTP against a numagpud
-// coordinator: each Execute submits one run (POST /v1/fabric/runs,
-// idempotent by the run's content address) and polls it to completion.
-// Set as exp.Options.Backend — as `numagpu -remote URL` does — it
+// coordinator: each Execute is one POST /v1/fabric/runs, which the
+// coordinator answers with the run's result once it has it. The POST is
+// idempotent by the run's content address — a retry or a duplicate
+// delivery joins the execution already under way in the coordinator's
+// memo. Set as exp.Options.Backend — as `numagpu -remote URL` does — it
 // drives any experiment through the coordinator's memo, disk cache,
 // and worker fleet while the client keeps full responsibility for
 // request order and table rendering, so the output is byte-identical
@@ -35,25 +37,26 @@ import (
 //     to the Retries budget — a coordinator restart or overload is
 //     ridden out, and the jitter keeps a whole sweep's runs from
 //     retrying in lockstep;
-//   - any other HTTP error reply (400, 404 outside the resubmit path,
-//     409, 500) is authoritative and fails the run immediately instead
-//     of burning the budget on an answer that will not change;
+//   - any other HTTP error reply (400, 409, 500) is authoritative and
+//     fails the run immediately instead of burning the budget on an
+//     answer that will not change;
 //   - exhausting the budget latches the client "down" so the sweep's
 //     remaining runs fail fast; after MaxBackoff the latch half-opens
-//     and exactly one run probes the coordinator — success closes the
-//     latch for everyone, failure re-arms it. A fast-failing
+//     and exactly one run probes the coordinator — any HTTP reply shows
+//     it reachable and closes the latch for everyone, while a probe
+//     that gets none re-arms it. A fast-failing
 //     coordinator therefore costs one request per MaxBackoff, not one
 //     full retry budget per run.
 type FabricClient struct {
 	// BaseURL is the coordinator root, e.g. "http://127.0.0.1:8377".
 	BaseURL string
-	// HTTPClient defaults to http.DefaultClient.
+	// HTTPClient defaults to http.DefaultClient. It must not time out
+	// before the coordinator finishes a run: the reply carries the
+	// result.
 	HTTPClient *http.Client
-	// Poll is the status poll interval (default 150ms).
-	Poll time.Duration
 	// Retries bounds consecutive retryable failures (transport errors
-	// and 429/503 sheds) tolerated while submitting or polling before
-	// the run is failed (default 20).
+	// and 429/503 sheds) tolerated before the run is failed
+	// (default 20).
 	Retries int
 	// Backoff is the initial retry delay (default 50ms); successive
 	// retryable failures double it, jittered to [0.5,1.5)×, up to
@@ -130,8 +133,9 @@ func (c *FabricClient) acquire() (probe bool, err error) {
 	return true, nil
 }
 
-// release reports a gated call's outcome: success closes the latch for
-// every waiting run; a failed probe re-arms it for another MaxBackoff.
+// release reports a gated call's outcome: reaching the coordinator
+// closes the latch for every waiting run; a probe that did not reach it
+// re-arms the latch for another MaxBackoff.
 func (c *FabricClient) release(probe, ok bool) {
 	_, cap := c.backoffParams()
 	c.downMu.Lock()
@@ -172,11 +176,6 @@ func retryable(err error) (ok bool, floor time.Duration) {
 
 // Execute implements exp.Backend.
 func (c *FabricClient) Execute(key string, cfg arch.Config, spec workload.Spec, opts workload.Options) (core.Result, error) {
-	cl := &Client{BaseURL: c.BaseURL, HTTPClient: c.HTTPClient}
-	poll := c.Poll
-	if poll <= 0 {
-		poll = 150 * time.Millisecond
-	}
 	retries := c.Retries
 	if retries <= 0 {
 		retries = 20
@@ -185,6 +184,7 @@ func (c *FabricClient) Execute(key string, cfg arch.Config, spec workload.Spec, 
 	if err != nil {
 		return core.Result{}, err
 	}
+	cl := &Client{BaseURL: c.BaseURL, HTTPClient: c.HTTPClient}
 	run := WireRun{
 		Key:       key,
 		Cfg:       cfg,
@@ -192,73 +192,30 @@ func (c *FabricClient) Execute(key string, cfg arch.Config, spec workload.Spec, 
 		IterScale: opts.IterScale,
 		MaxCTAs:   opts.MaxCTAs,
 	}
-
-	submit := func() (RemoteRunStatus, error) {
-		var st RemoteRunStatus
-		for attempt := 0; ; attempt++ {
-			err := cl.do("POST", "/v1/fabric/runs", run, &st)
-			if err == nil {
-				return st, nil
-			}
-			retry, floor := retryable(err)
-			if !retry {
-				// An authoritative HTTP reply (400/404/409/500) will not
-				// get better with retries.
-				return st, fmt.Errorf("service: fabric submit: %w", err)
-			}
-			if attempt+1 >= retries {
-				c.latchDown()
-				return st, fmt.Errorf("service: fabric submit: %w", err)
-			}
+	for attempt := 0; ; attempt++ {
+		var res core.Result
+		err := cl.do("POST", "/v1/fabric/runs", run, &res)
+		var ae *Error
+		if err == nil || errors.As(err, &ae) {
+			// Any HTTP reply shows the coordinator is reachable.
+			c.release(probe, true)
+			probe = false
+		}
+		if err == nil {
+			return res, nil
+		}
+		retry, floor := retryable(err)
+		switch {
+		case !retry:
+			// An authoritative HTTP reply (400/409/500) will not get
+			// better with retries.
+		case attempt+1 >= retries:
+			c.latchDown()
+		default:
 			time.Sleep(c.backoffDelay(attempt, floor))
-		}
-	}
-
-	st, err := submit()
-	c.release(probe, err == nil)
-	if err != nil {
-		return core.Result{}, err
-	}
-	failures := 0
-	resubmits := 0
-	for {
-		switch st.State {
-		case JobDone:
-			if st.Result == nil {
-				return core.Result{}, fmt.Errorf("service: fabric run %s done without result", st.ID)
-			}
-			return *st.Result, nil
-		case JobFailed:
-			return core.Result{}, fmt.Errorf("service: fabric run failed: %s", st.Error)
-		}
-		time.Sleep(poll)
-		if err := cl.do("GET", "/v1/fabric/runs/"+st.ID, nil, &st); err != nil {
-			var ae *Error
-			if errors.As(err, &ae) && ae.Status == http.StatusNotFound && resubmits < retries {
-				// The coordinator forgot the run (restart, or retention
-				// eviction under a slow poller): resubmit — idempotent
-				// by content address, and cheap when the result already
-				// reached the disk cache.
-				resubmits++
-				if st, err = submit(); err != nil {
-					return core.Result{}, err
-				}
-				continue
-			}
-			retry, floor := retryable(err)
-			if !retry {
-				// Any other HTTP reply is authoritative: fail now
-				// rather than burning the whole retry budget on it.
-				return core.Result{}, fmt.Errorf("service: fabric poll: %w", err)
-			}
-			failures++
-			if failures >= retries {
-				c.latchDown()
-				return core.Result{}, fmt.Errorf("service: fabric poll: %w", err)
-			}
-			time.Sleep(c.backoffDelay(failures-1, floor))
 			continue
 		}
-		failures = 0
+		c.release(probe, false)
+		return core.Result{}, fmt.Errorf("service: fabric submit: %w", err)
 	}
 }

@@ -41,8 +41,8 @@
 //	POST   /v1/fabric/workers      worker registration
 //	DELETE /v1/fabric/workers/{id} graceful worker departure
 //	POST   /v1/fabric/poll         worker heartbeat/lease/result round trip
-//	POST   /v1/fabric/runs         submit one run (numagpu -remote)
-//	GET    /v1/fabric/runs/{id}    poll a submitted run
+//	POST   /v1/fabric/runs         execute one run, reply with its result
+//	                               (numagpu -remote)
 //
 // Result payloads are deterministic: the same request against the same
 // simulator version yields byte-identical /result bodies, whether the
@@ -177,8 +177,8 @@ type ExperimentInfo struct {
 }
 
 // CacheStatus is the /v1/cache payload: disk footprint plus the run
-// accounting summed over every runner the server holds, the same
-// totals /metrics reports.
+// accounting of the server's Runner, which every workload scaling
+// shares; /metrics reports the same totals.
 type CacheStatus struct {
 	Enabled     bool   `json:"enabled"`
 	Dir         string `json:"dir,omitempty"`
@@ -193,8 +193,7 @@ type CacheStatus struct {
 // behind it. Create with New, release with Close.
 type Server struct {
 	cfg       Config
-	runner    *exp.Runner // the job queue's runner (the configured options)
-	runners   *runnerSet  // every runner, by (IterScale, MaxCTAs); shares cache+fabric
+	runner    *exp.Runner // the configured options; remote runs use its Scaled Runners
 	disk      *DiskCache
 	fabric    *fabric
 	jnl       *journal // nil when durability is off
@@ -216,14 +215,9 @@ type Server struct {
 	// eventCond (on mu) wakes SSE streams when any job gains an event
 	// or changes state; see events.go.
 	eventCond *sync.Cond
-
-	// Remotely submitted fabric runs (POST /v1/fabric/runs), by the
-	// content address of their RunKey. remoteActive counts runs still
-	// executing; while any is in flight, activeDeadline reports no
-	// deadline (remote runs carry none of their own).
-	remoteMu     sync.Mutex
-	remoteRuns   map[string]*remoteRun
-	remoteOrder  []string
+	// remoteActive counts POST /v1/fabric/runs requests still executing;
+	// while any is, activeDeadline reports no deadline (remote runs
+	// carry none of their own).
 	remoteActive int
 
 	queue     chan *job
@@ -250,12 +244,11 @@ func New(cfg Config) (*Server, error) {
 		cfg.FabricPoll = 250 * time.Millisecond
 	}
 	s := &Server{
-		cfg:        cfg,
-		start:      time.Now(),
-		jobs:       make(map[string]*job),
-		active:     make(map[*job]bool),
-		queue:      make(chan *job, cfg.QueueDepth),
-		remoteRuns: make(map[string]*remoteRun),
+		cfg:    cfg,
+		start:  time.Now(),
+		jobs:   make(map[string]*job),
+		active: make(map[*job]bool),
+		queue:  make(chan *job, cfg.QueueDepth),
 	}
 	s.eventCond = sync.NewCond(&s.mu)
 	s.admission = newAdmission(cfg.TenantQuota)
@@ -301,8 +294,7 @@ func New(cfg Config) (*Server, error) {
 		s.fabric.armGrace()
 	}
 	opts.Backend = fabricBackend{s.fabric}
-	s.runners = newRunnerSet(opts)
-	s.runner = s.runners.runner(opts.IterScale, opts.MaxCTAs)
+	s.runner = exp.NewRunner(opts)
 
 	// Re-enqueue the journaled jobs that never finished, preserving
 	// their IDs so clients polling across the restart reconnect to the
@@ -350,8 +342,7 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("POST /v1/fabric/workers", s.handleFabricRegister)
 	mux.HandleFunc("DELETE /v1/fabric/workers/{id}", s.handleFabricDeregister)
 	mux.HandleFunc("POST /v1/fabric/poll", s.handleFabricPoll)
-	mux.HandleFunc("POST /v1/fabric/runs", s.handleFabricSubmitRun)
-	mux.HandleFunc("GET /v1/fabric/runs/{id}", s.handleFabricRunStatus)
+	mux.HandleFunc("POST /v1/fabric/runs", s.handleFabricRun)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /healthz/live", s.handleHealth)
@@ -442,69 +433,10 @@ func (s *Server) record(j *job) jobRecord {
 	return jr
 }
 
-// RunnerStats exposes the aggregate run accounting across every runner
-// the server holds — the job queue's plus one per distinct
-// (IterScale, MaxCTAs) seen on the fabric run endpoint — used by the
-// restart tests and the metrics endpoint.
-func (s *Server) RunnerStats() exp.Stats { return s.runners.stats() }
-
-// runnerSet lazily builds one exp.Runner per (IterScale, MaxCTAs)
-// pair, all sharing the same cache, progress sink, and fabric backend.
-// The coordinator needs this because remote clients ship their own
-// workload scaling (a -quick client against a default-scale daemon),
-// and RunKeys embed that scaling — each scaling gets its own memo
-// keyspace, while the DiskCache below remains shared and keyed
-// collision-free.
-type runnerSet struct {
-	base exp.Options
-
-	mu      sync.Mutex
-	runners map[runnerScale]*exp.Runner
-}
-
-type runnerScale struct {
-	iterScale float64
-	maxCTAs   int
-}
-
-func newRunnerSet(base exp.Options) *runnerSet {
-	return &runnerSet{base: base, runners: make(map[runnerScale]*exp.Runner)}
-}
-
-// runner returns the shared Runner for one workload scaling, creating
-// it on first use. Scale normalization mirrors exp.Options.normalized
-// so 0 and the default never produce two runners with one keyspace.
-func (rs *runnerSet) runner(iterScale float64, maxCTAs int) *exp.Runner {
-	if iterScale <= 0 {
-		iterScale = 1
-	}
-	if maxCTAs < 0 {
-		maxCTAs = 0
-	}
-	key := runnerScale{iterScale, maxCTAs}
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if r, ok := rs.runners[key]; ok {
-		return r
-	}
-	opts := rs.base
-	opts.IterScale = iterScale
-	opts.MaxCTAs = maxCTAs
-	r := exp.NewRunner(opts)
-	rs.runners[key] = r
-	return r
-}
-
-// stats sums the run counters across every runner in the set.
-func (rs *runnerSet) stats() exp.Stats {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	var sum exp.Stats
-	for _, r := range rs.runners {
-		sum = sum.Add(r.Stats())
-	}
-	return sum
-}
+// RunnerStats reports the run accounting of the server's Runner, which
+// the job queue and remote runs of every workload scaling share; the
+// restart tests and the metrics endpoint read it.
+func (s *Server) RunnerStats() exp.Stats { return s.runner.Stats() }
 
 // errQueueFull is returned by submit when the queue is at capacity;
 // errClosing when the server is shutting down. Admission maps the
@@ -668,14 +600,11 @@ func (s *Server) worker() {
 // latest deadline across running jobs, and no deadline at all if any
 // running job — or any in-flight remote run — has none.
 func (s *Server) activeDeadline() time.Time {
-	s.remoteMu.Lock()
-	remoteActive := s.remoteActive
-	s.remoteMu.Unlock()
-	if remoteActive > 0 {
-		return time.Time{}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.remoteActive > 0 {
+		return time.Time{}
+	}
 	var max time.Time
 	for j := range s.active {
 		if j.deadline.IsZero() {
@@ -749,15 +678,9 @@ func (s *Server) execute(j *job) (payload []byte, err error) {
 		if j.sweep.Obs != nil && j.sweep.Obs.Enabled() {
 			return s.executeObservedSweep(j, reqs)
 		}
-		// Delta planning: resolve every key against the memo and the
-		// disk cache before dispatch, so only the uncovered delta
-		// reaches the fabric backend or the local pool. Cache hits are
-		// promoted into the memo here; the session below then reports
-		// them as cached completions without any new work.
-		plan := s.runner.Plan(reqs)
-		s.appendEvent(j, JobEvent{Type: EventProgress, Message: fmt.Sprintf(
-			"planned %d runs: %d cached, %d in flight, %d to execute",
-			len(reqs), len(plan.Cached), len(plan.Inflight), len(plan.Todo))})
+		// RunAll resolves each key through the memo and the disk cache
+		// first, so only the uncovered delta reaches the fabric or the
+		// local pool; each run_done event's source says which it took.
 		results := s.runner.Session(s.runCallback(j, len(reqs))).RunAll(reqs)
 		return json.Marshal(struct {
 			Results []core.Result `json:"results"`
@@ -1130,7 +1053,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
-	rs := s.runners.stats()
+	rs := s.runner.Stats()
 	st := CacheStatus{
 		Enabled:     s.disk != nil,
 		Hits:        rs.CacheHits,

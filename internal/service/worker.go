@@ -40,8 +40,9 @@ type WorkerConfig struct {
 // Worker is the pull half of the sweep fabric: it registers with a
 // coordinator, polls for leased shards (each poll doubling as the
 // heartbeat that keeps its leases alive), simulates them locally on its
-// own runner set, and ships results — tagged with their RunKey — back
-// on the next poll. It keeps no persistent cache: the coordinator's
+// own Runner (one memo and one set of counters for every workload
+// scaling the coordinator leases), and ships results — tagged with
+// their RunKey — back on the next poll. It keeps no persistent cache: the coordinator's
 // DiskCache is the single source of truth, and a worker restart costs
 // at most the re-execution of its in-flight shards.
 //
@@ -50,9 +51,9 @@ type WorkerConfig struct {
 // ships the final results, and deregisters so the coordinator re-leases
 // nothing.
 type Worker struct {
-	cfg     WorkerConfig
-	client  *Client
-	runners *runnerSet
+	cfg    WorkerConfig
+	client *Client
+	runner *exp.Runner
 
 	// process identifies this worker process across re-registrations
 	// (lease expiry + 410 + re-register): the coordinator keys its
@@ -108,12 +109,12 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Mirror != nil {
 		base.OnResult = exp.RunLog(cfg.Mirror)
 	}
-	w.runners = newRunnerSet(base)
+	w.runner = exp.NewRunner(base)
 	return w
 }
 
-// Stats reports the worker's aggregate run counters.
-func (w *Worker) Stats() exp.Stats { return w.runners.stats() }
+// Stats reports the worker's run counters.
+func (w *Worker) Stats() exp.Stats { return w.runner.Stats() }
 
 // Name reports the worker's display name.
 func (w *Worker) Name() string { return w.cfg.Name }
@@ -244,7 +245,7 @@ func (w *Worker) buildPoll(draining bool) PollRequest {
 		WorkerID: w.id,
 		Seq:      w.seq.Add(1),
 		Results:  append([]ShardResult(nil), w.results...),
-		Stats:    w.runners.stats(),
+		Stats:    w.runner.Stats(),
 	}
 	// Holding enumerates every RunKey this worker still owes the
 	// coordinator — simulating or queued in the outbox — so the
@@ -324,7 +325,7 @@ func (w *Worker) runShard(sh WireShard) (out ShardResult) {
 		out.Error = fmt.Sprintf("unknown workload %q", sh.Run.Workload)
 		return out
 	}
-	runner := w.runners.runner(sh.Run.IterScale, sh.Run.MaxCTAs)
+	runner := w.runner.Scaled(sh.Run.IterScale, sh.Run.MaxCTAs)
 	if want := runner.RunKey(sh.Run.Cfg, spec); want != sh.Run.Key {
 		out.Error = fmt.Sprintf("run key mismatch (coordinator %q, worker %q): simulator version skew?", sh.Run.Key, want)
 		return out

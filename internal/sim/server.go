@@ -74,13 +74,3 @@ func (s *Server) occupy(size int) Time {
 	s.nextFree = start + dur
 	return Time(math.Ceil(s.nextFree)) + s.latency
 }
-
-// Stall reserves the server for the given number of cycles without
-// transferring data: used for lane turnaround penalties.
-func (s *Server) Stall(cycles int) {
-	now := float64(s.eng.Now())
-	if s.nextFree < now {
-		s.nextFree = now
-	}
-	s.nextFree += float64(cycles)
-}

@@ -94,18 +94,6 @@ func TestServerSetBandwidth(t *testing.T) {
 	}
 }
 
-func TestServerStall(t *testing.T) {
-	e := New()
-	s := NewServer(e, 10, 0)
-	s.Stall(40)
-	var at Time
-	send(s, 100, func(now Time) { at = now })
-	e.Run()
-	if at != 50 {
-		t.Fatalf("transfer after stall completed at %d, want 50", at)
-	}
-}
-
 func TestServerZeroBandwidth(t *testing.T) {
 	e := New()
 	s := NewServer(e, 0, 5)

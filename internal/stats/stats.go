@@ -28,9 +28,6 @@ func (m *Meter) Add(n uint64) {
 // Total reports lifetime bytes.
 func (m *Meter) Total() uint64 { return m.total }
 
-// WindowBytes reports bytes recorded since the last Reset.
-func (m *Meter) WindowBytes() uint64 { return m.window }
-
 // Utilization reports window bytes as a fraction of what a resource
 // with the given bandwidth (bytes/cycle) could move since the window
 // opened at time now. A resource that never idled reads 1.0.
@@ -64,15 +61,6 @@ func (c *Counter) Value() uint64 { return c.n }
 type HitRate struct {
 	Hits   Counter
 	Misses Counter
-}
-
-// Rate reports hits/(hits+misses), 0 when no accesses happened.
-func (h *HitRate) Rate() float64 {
-	t := h.Hits.Value() + h.Misses.Value()
-	if t == 0 {
-		return 0
-	}
-	return float64(h.Hits.Value()) / float64(t)
 }
 
 // Accesses reports the total number of lookups.

@@ -13,15 +13,16 @@ func TestMeterBasics(t *testing.T) {
 	var m Meter
 	m.Add(100)
 	m.Add(50)
-	if m.Total() != 150 || m.WindowBytes() != 150 {
-		t.Fatalf("total=%d window=%d, want 150/150", m.Total(), m.WindowBytes())
+	// 150 bytes over 15 cycles at 10 B/cycle fill the window.
+	if m.Total() != 150 || m.Utilization(15, 10) != 1 {
+		t.Fatalf("total=%d utilization=%v, want 150 and 1", m.Total(), m.Utilization(15, 10))
 	}
 	m.Reset(1000)
 	if m.Total() != 150 {
 		t.Fatal("reset must not clear the lifetime total")
 	}
-	if m.WindowBytes() != 0 {
-		t.Fatal("reset must clear the window")
+	if u := m.Utilization(1010, 10); u != 0 {
+		t.Fatalf("utilization %v after reset, want 0: reset must clear the window", u)
 	}
 }
 
@@ -71,14 +72,11 @@ func TestCounter(t *testing.T) {
 
 func TestHitRate(t *testing.T) {
 	var h HitRate
-	if h.Rate() != 0 {
-		t.Fatal("empty hit rate must be 0")
+	if h.Accesses() != 0 {
+		t.Fatal("an empty hit rate has no accesses")
 	}
 	h.Hits.Advance(3)
 	h.Misses.Advance(1)
-	if h.Rate() != 0.75 {
-		t.Fatalf("rate %v, want 0.75", h.Rate())
-	}
 	if h.Accesses() != 4 {
 		t.Fatalf("accesses %d, want 4", h.Accesses())
 	}
@@ -110,22 +108,6 @@ func TestTableRowPadding(t *testing.T) {
 	if strings.Contains(tb.String(), "dropped") {
 		t.Fatal("extra cells must be dropped")
 	}
-}
-
-func TestTableSortBy(t *testing.T) {
-	tb := NewTable("", "Name", "Val")
-	tb.AddRowf("row-a", 1.0)
-	tb.AddRowf("row-b", 3.0)
-	tb.AddRowf("row-c", 2.0)
-	tb.SortBy("Val", true)
-	out := tb.String()
-	ib := strings.Index(out, "row-b")
-	ic := strings.Index(out, "row-c")
-	ia := strings.Index(out, "row-a")
-	if !(ib < ic && ic < ia) {
-		t.Fatalf("descending sort wrong:\n%s", out)
-	}
-	tb.SortBy("missing-column", true) // must not panic
 }
 
 func TestGeoMean(t *testing.T) {

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -52,36 +51,6 @@ func (t *Table) AddRowf(cells ...any) {
 // Rows reports the number of data rows.
 func (t *Table) Rows() int { return len(t.rows) }
 
-// SortBy sorts rows by the named column, descending if desc, using
-// numeric comparison when both cells parse as floats.
-func (t *Table) SortBy(column string, desc bool) {
-	idx := -1
-	for i, c := range t.Columns {
-		if c == column {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return
-	}
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		a, b := t.rows[i][idx], t.rows[j][idx]
-		fa, ea := parseFloat(a)
-		fb, eb := parseFloat(b)
-		var less bool
-		if ea && eb {
-			less = fa < fb
-		} else {
-			less = a < b
-		}
-		if desc {
-			return !less
-		}
-		return less
-	})
-}
-
 // String renders the table.
 func (t *Table) String() string {
 	width := make([]int, len(t.Columns))
@@ -121,12 +90,6 @@ func (t *Table) String() string {
 		line(r)
 	}
 	return b.String()
-}
-
-func parseFloat(s string) (float64, bool) {
-	var f float64
-	_, err := fmt.Sscanf(strings.TrimSuffix(s, "x"), "%g", &f)
-	return f, err == nil
 }
 
 // FormatFloat renders a float with two decimals, trimming noise.

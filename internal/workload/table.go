@@ -264,27 +264,3 @@ func ByName(name string) (Spec, bool) {
 	}
 	return Spec{}, false
 }
-
-// Evaluated returns the 32 non-grey workloads the paper uses for
-// Figures 6, 8, 9 and 10.
-func Evaluated() []Spec {
-	var out []Spec
-	for _, s := range Table() {
-		if !s.Grey {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// GreySet returns the 9 workloads that scale with software locality
-// alone (the grey box of Figure 3).
-func GreySet() []Spec {
-	var out []Spec
-	for _, s := range Table() {
-		if s.Grey {
-			out = append(out, s)
-		}
-	}
-	return out
-}
