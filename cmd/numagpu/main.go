@@ -82,6 +82,10 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// newFabricClient builds the -remote backend; tests swap in a client
+// with a short retry budget.
+var newFabricClient = service.NewFabricClient
+
 // run is main with its environment injected for tests: it parses args,
 // executes the requested experiments, and returns the process exit code
 // (0 success, 1 runtime failure, 2 usage error).
@@ -185,7 +189,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.IterScale = 0.25
 	}
 	if *remote != "" {
-		opts.Backend = service.NewFabricClient(*remote)
+		opts.Backend = newFabricClient(*remote)
 	}
 	if *follow {
 		// Per-run completions stream to stderr; stdout (tables, JSON,

@@ -291,6 +291,12 @@ func TestRunRemoteUnreachable(t *testing.T) {
 	// A dead coordinator must fail the experiment with a clean exit
 	// code and diagnostic, not silently simulate locally (the user
 	// asked for remote execution) and not crash with a stack trace.
+	// The default retry budget would sleep about 29 s of backoff
+	// against the dead port before failing.
+	defer func(f func(string) *service.FabricClient) { newFabricClient = f }(newFabricClient)
+	newFabricClient = func(base string) *service.FabricClient {
+		return &service.FabricClient{BaseURL: base, Retries: 2, Backoff: time.Millisecond}
+	}
 	code, _, stderr := runCLI(t, "-remote", "http://127.0.0.1:1", "-iterscale", "0.01", "fig3")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (stderr: %s)", code, stderr)

@@ -1,7 +1,7 @@
 package exp
 
 import (
-	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	"repro/internal/arch"
@@ -99,9 +99,9 @@ const cacheSchema = 3
 
 // RunKey returns the content address of one (config, workload) run
 // under this Runner's options: a schema version, every field of the
-// architectural configuration (cfgKey's policy-study fields plus the
-// fixed machine parameters it elides for brevity), the workload name,
-// and the workload scaling parameters (IterScale, MaxCTAs). Two
+// architectural configuration (the policy-study fields first, then the
+// fixed machine parameters and the canonical topology), the workload
+// name, and the workload scaling parameters (IterScale, MaxCTAs). Two
 // Runners — in the same process or across restarts — produce the same
 // key exactly when Run would produce the same Result, which is what
 // makes the key safe to use for a persistent Cache.
@@ -113,32 +113,74 @@ func (r *Runner) RunKey(cfg arch.Config, spec workload.Spec) string {
 	return runKey(r.opts, cfg, spec)
 }
 
-// runKey is RunKey under options o.
+// runKey is RunKey under options o. Keys without a topology fit the
+// stack buffer, so the returned string is the only allocation.
 func runKey(o Options, cfg arch.Config, spec workload.Spec) string {
-	return fmt.Sprintf("v%d|%s.%s|%s|iter%g.cap%d",
-		cacheSchema, cfgKey(cfg), machineKey(cfg), spec.Name, o.IterScale, o.MaxCTAs)
+	var buf [320]byte
+	return string(appendRunKey(buf[:0], o, cfg, spec.Name))
 }
 
-// machineKey fingerprints the arch.Config fields cfgKey leaves out:
-// the machine parameters that are constant within one harness but
-// differ across divisors, hand-built configs, or future PaperConfig
-// revisions. Together cfgKey + machineKey cover every Config field.
-func machineKey(c arch.Config) string {
-	k := fmt.Sprintf("w%d.cta%d.iw%d.l1_%d/%d/%d.l2_%d/%d/%d.noc%g/%d.dl%d.ll%d.sl%d.hdr%d/%d",
-		c.MaxWarpsPerSM, c.MaxCTAsPerSM, c.IssueWidth,
-		c.L1Bytes, c.L1Assoc, c.L1Latency,
-		c.L2Assoc, c.L2Banks, c.L2Latency,
-		c.NoCBandwidth, c.NoCLatency, c.DRAMLatency,
-		c.LinkLatency, c.SwitchLatency,
-		c.RequestHeader, c.ResponseHeader)
+// appendRunKey appends the run key to b. The layout is persisted in
+// every disk cache, so it must not change without a cacheSchema bump:
+// integers and enums are written as %d formats them, floats as %g and
+// bools as %v, and TestRunKeyMatchesReferenceFormat pins the bytes.
+func appendRunKey(b []byte, o Options, c arch.Config, name string) []byte {
+	b = appendInt(b, "v", cacheSchema)
+	// The policy-study fields.
+	b = appendInt(b, "|s", c.Sockets)
+	b = appendInt(b, ".sm", c.SMsPerSocket)
+	b = appendInt(b, ".l2", c.L2Bytes)
+	b = appendFloat(b, ".dram", c.DRAMBandwidth)
+	b = appendFloat(b, ".lane", c.LaneBandwidth)
+	b = appendInt(b, "/", c.LanesPerDir)
+	b = appendInt(b, ".sched", int(c.Sched))
+	b = appendInt(b, ".place", int(c.Placement))
+	b = appendInt(b, ".cache", int(c.CacheMode))
+	b = appendInt(b, ".link", int(c.LinkMode))
+	b = strconv.AppendBool(append(b, ".wt"...), c.L2WriteThrough)
+	b = strconv.AppendBool(append(b, ".noinv"...), c.NoL2Invalidate)
+	b = appendInt(b, ".st", c.LinkSampleTime)
+	b = appendInt(b, ".ct", c.CacheSampleTime)
+	b = appendInt(b, ".lt", c.LaneSwitchTime)
+	// The machine parameters: constant within one Runner but different
+	// across divisors, hand-built configs and PaperConfig revisions.
+	b = appendInt(b, ".w", c.MaxWarpsPerSM)
+	b = appendInt(b, ".cta", c.MaxCTAsPerSM)
+	b = appendInt(b, ".iw", c.IssueWidth)
+	b = appendInt(b, ".l1_", c.L1Bytes)
+	b = appendInt(b, "/", c.L1Assoc)
+	b = appendInt(b, "/", c.L1Latency)
+	b = appendInt(b, ".l2_", c.L2Assoc)
+	b = appendInt(b, "/", c.L2Banks)
+	b = appendInt(b, "/", c.L2Latency)
+	b = appendFloat(b, ".noc", c.NoCBandwidth)
+	b = appendInt(b, "/", c.NoCLatency)
+	b = appendInt(b, ".dl", c.DRAMLatency)
+	b = appendInt(b, ".ll", c.LinkLatency)
+	b = appendInt(b, ".sl", c.SwitchLatency)
+	b = appendInt(b, ".hdr", c.RequestHeader)
+	b = appendInt(b, "/", c.ResponseHeader)
 	if c.Topology != nil {
 		// The canonical encoding covers every topology field, including
 		// link order (it breaks routing ties). Nil encodes as nothing:
 		// the synthesized crossbar is fully determined by the fields
 		// above.
-		k += ".topo[" + c.Topology.Canonical() + "]"
+		b = c.Topology.AppendCanonical(append(b, ".topo["...))
+		b = append(b, ']')
 	}
-	return k
+	b = append(append(b, '|'), name...)
+	b = appendFloat(b, "|iter", o.IterScale)
+	return appendInt(b, ".cap", o.MaxCTAs)
+}
+
+// appendInt appends sep and v as %d formats it.
+func appendInt(b []byte, sep string, v int) []byte {
+	return strconv.AppendInt(append(b, sep...), int64(v), 10)
+}
+
+// appendFloat appends sep and v as %g formats it.
+func appendFloat(b []byte, sep string, v float64) []byte {
+	return strconv.AppendFloat(append(b, sep...), v, 'g', -1, 64)
 }
 
 // counters holds the Runner's atomic run accounting; embedded so the

@@ -1,13 +1,19 @@
 package exp
 
 import (
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/topo"
+	"repro/internal/workload"
 )
 
 // mapCache is an in-memory exp.Cache with call accounting.
@@ -88,7 +94,8 @@ func TestMemoShortCircuitsCache(t *testing.T) {
 
 // TestRunKeyEncodesScale pins the cache-safety property: run keys must
 // differ whenever the simulation would differ — across configs AND
-// across workload scaling options, which cfgKey alone does not see.
+// across workload scaling options, which the config fields alone do not
+// cover.
 func TestRunKeyEncodesScale(t *testing.T) {
 	base := tinyOptions()
 	a := NewRunner(base)
@@ -120,7 +127,8 @@ func TestRunKeyEncodesScale(t *testing.T) {
 // TestRunKeyCoversEveryConfigField perturbs each arch.Config field in
 // turn and requires the run key to change: the persistent cache is
 // only safe if no result-affecting parameter is outside the key. A new
-// Config field that fails here must be added to cfgKey or machineKey —
+// Config field that fails here must be added to appendRunKey (with a
+// cacheSchema bump and the reference formats below extended) —
 // or, if it provably cannot affect results, listed in the execution
 // policy exemptions below and covered by an equivalence test.
 func TestRunKeyCoversEveryConfigField(t *testing.T) {
@@ -207,5 +215,173 @@ func TestConcurrentCachedRuns(t *testing.T) {
 	}
 	if cache.gets != 2 { // one warmup miss + one warm hit
 		t.Fatalf("cache gets = %d, want 2", cache.gets)
+	}
+}
+
+// referenceRunKey is the fmt-built run key format that every schema-3
+// cache was written under, over the policy-study fields
+// (referenceCfgKey), the machine parameters (referenceMachineKey) and
+// the topology's canonical encoding (referenceCanonical). appendRunKey
+// must reproduce it byte for byte, or a restarted daemon would miss
+// every result its cache holds.
+func referenceRunKey(o Options, cfg arch.Config, name string) string {
+	return fmt.Sprintf("v%d|%s.%s|%s|iter%g.cap%d",
+		cacheSchema, referenceCfgKey(cfg), referenceMachineKey(cfg), name, o.IterScale, o.MaxCTAs)
+}
+
+func referenceCfgKey(c arch.Config) string {
+	return fmt.Sprintf("s%d.sm%d.l2%d.dram%g.lane%g/%d.sched%d.place%d.cache%d.link%d.wt%v.noinv%v.st%d.ct%d.lt%d",
+		c.Sockets, c.SMsPerSocket, c.L2Bytes, c.DRAMBandwidth, c.LaneBandwidth, c.LanesPerDir,
+		c.Sched, c.Placement, c.CacheMode, c.LinkMode, c.L2WriteThrough, c.NoL2Invalidate,
+		c.LinkSampleTime, c.CacheSampleTime, c.LaneSwitchTime)
+}
+
+func referenceMachineKey(c arch.Config) string {
+	k := fmt.Sprintf("w%d.cta%d.iw%d.l1_%d/%d/%d.l2_%d/%d/%d.noc%g/%d.dl%d.ll%d.sl%d.hdr%d/%d",
+		c.MaxWarpsPerSM, c.MaxCTAsPerSM, c.IssueWidth,
+		c.L1Bytes, c.L1Assoc, c.L1Latency,
+		c.L2Assoc, c.L2Banks, c.L2Latency,
+		c.NoCBandwidth, c.NoCLatency, c.DRAMLatency,
+		c.LinkLatency, c.SwitchLatency,
+		c.RequestHeader, c.ResponseHeader)
+	if c.Topology != nil {
+		k += ".topo[" + referenceCanonical(c.Topology) + "]"
+	}
+	return k
+}
+
+func referenceCanonical(t *topo.Topology) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "n%d.x%d", len(t.Sockets), t.Switches)
+	for i, s := range t.Sockets {
+		if s == (topo.SocketSpec{}) {
+			continue
+		}
+		fmt.Fprintf(&b, ".s%d:%d/%d/%g/%d/%d", i, s.SMs, s.L2Bytes, s.DRAMBandwidth, s.DRAMLatency, s.Weight)
+	}
+	for _, l := range t.Links {
+		fmt.Fprintf(&b, ".l%d-%d:%d/%d/%g/%d/%d/%d/%d",
+			l.A, l.B, l.LanesAB, l.LanesBA, l.LaneBandwidth,
+			l.LatencyAB, l.LatencyBA, l.HopsAB, l.HopsBA)
+	}
+	return b.String()
+}
+
+// exampleTopologies parses the shipped examples/*.json fabrics.
+func exampleTopologies(tb testing.TB) []*topo.Topology {
+	tb.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "*.json"))
+	if err != nil || len(paths) < 2 {
+		tb.Fatalf("example topologies: %v (found %d)", err, len(paths))
+	}
+	var out []*topo.Topology
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		top, err := topo.Parse(data)
+		if err != nil {
+			tb.Fatalf("%s: %v", p, err)
+		}
+		out = append(out, top)
+	}
+	return out
+}
+
+// TestRunKeyMatchesReferenceFormat compares RunKey with the reference
+// format over every divisor, iteration scale, CTA cap, workload, preset
+// and socket count of the grid below, each configuration with seeded
+// cache, link, write-through and invalidate overrides, fractional lane
+// and DRAM bandwidths, and a nil, synthesized (with and without socket
+// overrides) or shipped example topology.
+func TestRunKeyMatchesReferenceFormat(t *testing.T) {
+	examples := exampleTopologies(t)
+	for _, top := range examples {
+		if got, want := top.Canonical(), referenceCanonical(top); got != want {
+			t.Fatalf("Canonical:\n got %s\nwant %s", got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	specs := workload.Table()
+	n := 0
+	for _, div := range []int{1, 2, 4, 8, 16} {
+		for _, iter := range []float64{1, 0.25, 0.1, 1.0 / 3, 2.5, 1e-7} {
+			for _, maxCTAs := range []int{0, 17, 256} {
+				r := NewRunner(Options{Divisor: div, IterScale: iter, MaxCTAs: maxCTAs})
+				for _, spec := range specs {
+					for _, preset := range []string{"base", "traditional", "numa-aware", "monolithic"} {
+						for _, sockets := range []int{1, 2, 4, 8} {
+							cfg, err := r.Preset(preset, sockets)
+							if err != nil {
+								t.Fatal(err)
+							}
+							cfg = perturbKeyFields(rng, cfg, examples)
+							if got, want := r.RunKey(cfg, spec), referenceRunKey(r.opts, cfg, spec.Name); got != want {
+								t.Fatalf("RunKey differs from the reference format:\n got %s\nwant %s", got, want)
+							}
+							n++
+						}
+					}
+				}
+			}
+		}
+	}
+	if n != 59040 {
+		t.Fatalf("compared %d keys, want the whole 59040-key grid", n)
+	}
+}
+
+// perturbKeyFields applies seeded overrides to the fields a sweep
+// request or a hand-built configuration can set.
+func perturbKeyFields(rng *rand.Rand, c arch.Config, examples []*topo.Topology) arch.Config {
+	if rng.Intn(2) == 0 {
+		c.CacheMode = arch.CacheMode(rng.Intn(4))
+	}
+	if rng.Intn(2) == 0 {
+		c.LinkMode = arch.LinkMode(rng.Intn(2))
+	}
+	c.L2WriteThrough = rng.Intn(2) == 0
+	c.NoL2Invalidate = rng.Intn(2) == 0
+	if rng.Intn(2) == 0 {
+		c.LaneBandwidth = float64(1+rng.Intn(64)) / 3
+		c.DRAMBandwidth = rng.Float64() * 1000
+	}
+	switch rng.Intn(4) {
+	case 1:
+		c.Topology = topo.Crossbar(c.Sockets, c.LanesPerDir, c.LaneBandwidth, c.LinkLatency)
+	case 2:
+		c.Topology = topo.Crossbar(c.Sockets, c.LanesPerDir, c.LaneBandwidth, c.LinkLatency)
+		s := rng.Intn(c.Sockets)
+		c.Topology.Sockets[s] = topo.SocketSpec{SMs: 1 + rng.Intn(8), DRAMBandwidth: rng.Float64() * 100, Weight: 2}
+	case 3:
+		if c.Sockets == len(examples[0].Sockets) {
+			c.Topology = examples[rng.Intn(len(examples))]
+		}
+	}
+	return c
+}
+
+var benchKey string
+
+// BenchmarkRunKey times one content address of a NUMA-aware 4-socket
+// run; CI fails when it reports more than 1 alloc/op.
+func BenchmarkRunKey(b *testing.B) {
+	r := NewRunner(Options{IterScale: 0.25})
+	cfg, spec := r.NUMAAware(4), workload.Table()[0]
+	b.ReportAllocs()
+	for b.Loop() {
+		benchKey = r.RunKey(cfg, spec)
+	}
+}
+
+// BenchmarkRunKeyReference times the fmt-built reference format on the
+// same run, the baseline BenchmarkRunKey is compared against.
+func BenchmarkRunKeyReference(b *testing.B) {
+	r := NewRunner(Options{IterScale: 0.25})
+	cfg, spec := r.NUMAAware(4), workload.Table()[0]
+	b.ReportAllocs()
+	for b.Loop() {
+		benchKey = referenceRunKey(r.opts, cfg, spec.Name)
 	}
 }

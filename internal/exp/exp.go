@@ -277,13 +277,6 @@ func (r *Runner) Preset(name string, sockets int) (arch.Config, error) {
 	return arch.Config{}, fmt.Errorf("unknown preset %q (want base, traditional, numa-aware or monolithic)", name)
 }
 
-func cfgKey(c arch.Config) string {
-	return fmt.Sprintf("s%d.sm%d.l2%d.dram%g.lane%g/%d.sched%d.place%d.cache%d.link%d.wt%v.noinv%v.st%d.ct%d.lt%d",
-		c.Sockets, c.SMsPerSocket, c.L2Bytes, c.DRAMBandwidth, c.LaneBandwidth, c.LanesPerDir,
-		c.Sched, c.Placement, c.CacheMode, c.LinkMode, c.L2WriteThrough, c.NoL2Invalidate,
-		c.LinkSampleTime, c.CacheSampleTime, c.LaneSwitchTime)
-}
-
 // Run simulates spec under cfg (memoized). Concurrent calls for the
 // same pair share one simulation; see the Runner doc comment.
 // With Options.Cache set, a memo miss first consults the cache
@@ -393,7 +386,7 @@ func (r *Runner) runKeyed(key string, cfg arch.Config, spec workload.Spec, slot 
 		}
 		simCfg := cfg
 		if observed {
-			// Applied after RunKey/cfgKey: observation must not change
+			// Applied after RunKey: observation must not change
 			// run identity. An observed System serves one run only.
 			simCfg.Obs = r.opts.Obs
 			slot = nil

@@ -52,6 +52,7 @@ func TestRunnerMemoization(t *testing.T) {
 
 func TestConfigKeyDistinguishes(t *testing.T) {
 	r := quickRunner()
+	spec := r.opts.Workloads[0]
 	keys := map[string]bool{}
 	cfgs := []arch.Config{
 		r.Base(2), r.Base(4), r.Traditional(4), r.NUMAAware(4), r.Monolithic(4),
@@ -66,7 +67,7 @@ func TestConfigKeyDistinguishes(t *testing.T) {
 	c3.LinkSampleTime = 777
 	cfgs = append(cfgs, c3)
 	for _, cfg := range cfgs {
-		k := cfgKey(cfg)
+		k := r.RunKey(cfg, spec)
 		if keys[k] {
 			t.Fatalf("config key collision: %s", k)
 		}

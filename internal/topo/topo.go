@@ -24,6 +24,7 @@ package topo
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -176,20 +177,49 @@ func (t *Topology) NodeName(v int) string {
 // values encode as zeros: the inherited Config defaults are already in
 // the key separately.
 func (t *Topology) Canonical() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "n%d.x%d", len(t.Sockets), t.Switches)
+	return string(t.AppendCanonical(nil))
+}
+
+// AppendCanonical appends the Canonical encoding to b and returns the
+// extended buffer. The encoding is part of every persisted RunKey, so
+// it must not change without a cache schema bump: integers are written
+// as %d formats them and floats as %g.
+func (t *Topology) AppendCanonical(b []byte) []byte {
+	b = appendInt(b, "n", len(t.Sockets))
+	b = appendInt(b, ".x", t.Switches)
 	for i, s := range t.Sockets {
 		if s == (SocketSpec{}) {
 			continue
 		}
-		fmt.Fprintf(&b, ".s%d:%d/%d/%g/%d/%d", i, s.SMs, s.L2Bytes, s.DRAMBandwidth, s.DRAMLatency, s.Weight)
+		b = appendInt(b, ".s", i)
+		b = appendInt(b, ":", s.SMs)
+		b = appendInt(b, "/", s.L2Bytes)
+		b = appendFloat(b, "/", s.DRAMBandwidth)
+		b = appendInt(b, "/", s.DRAMLatency)
+		b = appendInt(b, "/", s.Weight)
 	}
 	for _, l := range t.Links {
-		fmt.Fprintf(&b, ".l%d-%d:%d/%d/%g/%d/%d/%d/%d",
-			l.A, l.B, l.LanesAB, l.LanesBA, l.LaneBandwidth,
-			l.LatencyAB, l.LatencyBA, l.HopsAB, l.HopsBA)
+		b = appendInt(b, ".l", l.A)
+		b = appendInt(b, "-", l.B)
+		b = appendInt(b, ":", l.LanesAB)
+		b = appendInt(b, "/", l.LanesBA)
+		b = appendFloat(b, "/", l.LaneBandwidth)
+		b = appendInt(b, "/", l.LatencyAB)
+		b = appendInt(b, "/", l.LatencyBA)
+		b = appendInt(b, "/", l.HopsAB)
+		b = appendInt(b, "/", l.HopsBA)
 	}
-	return b.String()
+	return b
+}
+
+// appendInt appends sep and v as %d formats it.
+func appendInt(b []byte, sep string, v int) []byte {
+	return strconv.AppendInt(append(b, sep...), int64(v), 10)
+}
+
+// appendFloat appends sep and v as %g formats it.
+func appendFloat(b []byte, sep string, v float64) []byte {
+	return strconv.AppendFloat(append(b, sep...), v, 'g', -1, 64)
 }
 
 // Parse decodes and validates a JSON topology (see docs/TOPOLOGY.md for

@@ -3,10 +3,11 @@
 # emitting BENCH_sim.json: engine microbenchmarks (ns/event, allocs/event,
 # events/sec) for the calendar-queue scheduler and the reference heap it
 # replaced, model-level datapath benchmarks (ns and allocs per access
-# pattern, internal/gpu), the wall-clock time and garbage-collection
-# cycles of regenerating every experiment at -quick scale, and an
-# append-only `history` array that preserves the headline numbers
-# across runs/PRs. See docs/PERF.md for how to read the output.
+# pattern, internal/gpu), the cost of one run key (exp.Runner.RunKey
+# against its fmt-built reference format), the wall-clock time and
+# garbage-collection cycles of regenerating every experiment at -quick
+# scale, and an append-only `history` array that preserves the headline
+# numbers across runs/PRs. See docs/PERF.md for how to read the output.
 #
 #   scripts/bench.sh            # full run: 1s benchtime + the -quick suite
 #   scripts/bench.sh --fast     # CI smoke: 100ms benchtime, no -quick suite
@@ -35,6 +36,8 @@ engbench=$(go test -run '^$' -bench Engine -benchmem -benchtime "$BENCHTIME" ./i
 printf '%s\n' "$engbench"
 modelbench=$(go test -run '^$' -bench Model -benchmem -benchtime "$BENCHTIME" ./internal/gpu)
 printf '%s\n' "$modelbench"
+keybench=$(go test -run '^$' -bench '^BenchmarkRunKey' -benchmem -benchtime "$BENCHTIME" ./internal/exp)
+printf '%s\n' "$keybench"
 
 quick_wall=null
 quick_gc_cycles=null
@@ -171,7 +174,7 @@ if [ "$RUN_FABRIC" = 1 ]; then
   fi
 fi
 
-current=$(printf '%s\n%s\n' "$engbench" "$modelbench" | awk \
+current=$(printf '%s\n%s\n%s\n' "$engbench" "$modelbench" "$keybench" | awk \
   -v quick_wall="$quick_wall" \
   -v quick_gc_cycles="$quick_gc_cycles" \
   -v fig3_obs_off_wall="$fig3_obs_off_wall" \
@@ -226,6 +229,8 @@ END {
   printf "    \"mshr_merge\": %s,\n",     mentry("BenchmarkModelMSHRMerge")
   printf "    \"socket_workload\": %s\n", mentry("BenchmarkModelSocketWorkload")
   printf "  },\n"
+  printf "  \"run_key\": %s,\n",           mentry("BenchmarkRunKey")
+  printf "  \"run_key_reference\": %s,\n", mentry("BenchmarkRunKeyReference")
   printf "  \"obs\": {\n"
   printf "    \"fig3_quick_wall_off_seconds\": %s,\n", fig3_obs_off_wall
   printf "    \"fig3_quick_wall_on_seconds\": %s,\n", fig3_obs_on_wall
@@ -266,7 +271,9 @@ if command -v jq >/dev/null 2>&1; then
         model_remote_read_ns: $cur.model.remote_read.ns_per_op,
         model_remote_read_allocs: $cur.model.remote_read.allocs_per_op,
         model_mshr_merge_ns: $cur.model.mshr_merge.ns_per_op,
-        model_socket_workload_ns: $cur.model.socket_workload.ns_per_op
+        model_socket_workload_ns: $cur.model.socket_workload.ns_per_op,
+        run_key_ns: $cur.run_key.ns_per_op,
+        run_key_allocs: $cur.run_key.allocs_per_op
       } + (if $fabric != null then {
         fabric_local_j1_fig3_wall_seconds: $fabric.local_j1_fig3_wall_seconds,
         fabric_cluster2_fig3_wall_seconds: $fabric.cluster2_fig3_wall_seconds
